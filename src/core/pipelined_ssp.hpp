@@ -70,8 +70,9 @@ struct KsspResult {
   std::uint64_t max_entries_per_source = 0;
   std::uint64_t max_list_size = 0;
   /// Sends that fired after their scheduled round (the Invariant-1 schedule
-  /// was missed and caught up).  0 in every sweep we have run; kept as a
-  /// visible canary.
+  /// was missed and caught up).  Not 0 in general: APSP on the 16x16 grid
+  /// with weights 0-8 (graph seed 2) counts 24542 while the round and
+  /// message counts stay exact; monitored, not asserted.
   std::uint64_t late_fires = 0;
   std::uint64_t total_sends = 0;
   /// Largest number of messages any node emitted for one source (per-source

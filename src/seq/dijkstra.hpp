@@ -18,7 +18,9 @@ struct SsspResult {
   std::vector<graph::NodeId> parent; ///< kNoNode for source/unreachable
 };
 
-/// Shortest paths from `source` following out-edges.
+/// Shortest paths from `source` following out-edges.  Thread-safe; each
+/// thread reuses one heap and settled array across calls, so a call
+/// allocates only its result.
 SsspResult dijkstra(const graph::Graph& g, graph::NodeId source);
 
 /// Shortest paths *into* `target` following in-edges (distances v -> target).

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 
-#include "seq/dijkstra.hpp"
 #include "util/int_math.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dapsp::serve {
-
-using graph::kNoNode;
 
 ShardedOracle::ShardedOracle(NodeId n, std::size_t shards) : n_(n) {
   const std::size_t s =
@@ -43,11 +39,8 @@ std::shared_ptr<ShardedOracle> ShardedOracle::from_flat(
   const NodeId n = oracle.node_count();
   util::check(n > 0, "ShardedOracle::from_flat: empty oracle");
   auto out = std::shared_ptr<ShardedOracle>(new ShardedOracle(n, shards));
-  out->exact_ = oracle.exact();
   out->has_paths_ = oracle.has_paths();
-  out->label_ = oracle.solver_label();
-  out->stats_ = oracle.build_stats();
-  out->critpath_ = oracle.meta().critpath;
+  out->meta_ = oracle.meta();
   for (Shard& s : out->shards_) {
     const std::size_t rows = s.row_end - s.row_begin;
     s.dist.reserve(rows * n);
@@ -74,31 +67,25 @@ std::shared_ptr<ShardedOracle> build_sharded_oracle(
     // partition the finished oracle row-by-row.
     return ShardedOracle::from_flat(service::build_oracle(g, opts), shards);
   }
-  // Reference solver: fill each shard row directly from its source's
-  // Dijkstra run -- no flat n x n matrix ever exists, so peak memory is the
-  // sharded result itself.  Rows are computed by the same per-source
-  // routine the flat builder uses, so the output is bit-identical to
-  // from_flat(build_oracle(g, kReference)).
+  // Reference solver: the sweep writes every source row straight into its
+  // shard, so peak memory is the sharded result itself.
   const NodeId n = g.node_count();
   auto out = std::shared_ptr<ShardedOracle>(new ShardedOracle(n, shards));
-  out->exact_ = true;
   out->has_paths_ = true;
-  out->label_ = "reference (sequential Dijkstra sweep)";
+  std::vector<Weight*> dist_rows;
+  std::vector<NodeId*> next_rows;
+  dist_rows.reserve(n);
+  next_rows.reserve(n);
   for (auto& s : out->shards_) {
     const std::size_t rows = s.row_end - s.row_begin;
-    s.dist.assign(rows * n, 0);
-    s.next.assign(rows * n, kNoNode);
+    s.dist.resize(rows * n);
+    s.next.resize(rows * n);
+    for (std::size_t r = 0; r < rows; ++r) {
+      dist_rows.push_back(s.dist.data() + r * n);
+      next_rows.push_back(s.next.data() + r * n);
+    }
   }
-  util::ThreadPool::global().parallel_for(n, [&](std::size_t src) {
-    const NodeId u = static_cast<NodeId>(src);
-    auto& s = out->shards_[u / out->rows_per_shard_];
-    const std::size_t off =
-        static_cast<std::size_t>(u - s.row_begin) * n;
-    auto r = seq::dijkstra(g, u);
-    std::copy(r.dist.begin(), r.dist.end(), s.dist.data() + off);
-    service::next_hops_from_parents(u, n, r.dist, r.parent,
-                                    s.next.data() + off);
-  });
+  out->meta_ = service::reference_sweep(g, dist_rows, next_rows);
   return out;
 }
 

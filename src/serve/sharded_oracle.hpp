@@ -12,8 +12,8 @@
 //
 // Sharding buys the serving tier three things:
 //   * rebuild locality -- shards can be constructed independently (the
-//     reference builder fills each shard straight from per-source Dijkstra
-//     runs without ever materializing the flat matrix);
+//     reference sweep writes each shard row straight from its source's
+//     Dijkstra run without ever materializing the flat matrix);
 //   * allocation granularity -- S allocations of ~n^2/S bytes instead of one
 //     n^2 block, the shape a NUMA-aware or multi-process tier needs;
 //   * occupancy observability -- per-shard row ranges and byte counts are
@@ -40,15 +40,8 @@ class ShardedOracle final : public service::OracleSnapshot {
       const service::DistanceOracle& oracle, std::size_t shards);
 
   NodeId node_count() const noexcept override { return n_; }
-  bool exact() const noexcept override { return exact_; }
   bool has_paths() const noexcept override { return has_paths_; }
-  const std::string& solver_label() const noexcept override { return label_; }
-  const congest::RunStats& build_stats() const noexcept override {
-    return stats_;
-  }
-  const obs::CritPathSummary* build_critpath() const noexcept override {
-    return critpath_.empty() ? nullptr : &critpath_;
-  }
+  const service::OracleMeta& meta() const noexcept override { return meta_; }
   std::size_t memory_bytes() const noexcept override;
 
   Weight dist(NodeId u, NodeId v) const noexcept override {
@@ -80,20 +73,16 @@ class ShardedOracle final : public service::OracleSnapshot {
 
   NodeId n_ = 0;
   NodeId rows_per_shard_ = 1;
-  bool exact_ = true;
   bool has_paths_ = false;
-  std::string label_;
-  congest::RunStats stats_;
-  obs::CritPathSummary critpath_;  ///< empty unless the build was profiled
+  service::OracleMeta meta_;
   std::vector<Shard> shards_;
 };
 
 /// Enum-dispatched sharded factory, mirroring service::build_oracle.  The
-/// kReference solver builds each shard directly from per-source Dijkstra
-/// runs (never materializing a flat n x n matrix -- peak memory is one shard
-/// plus the result); the CONGEST solvers produce the full closure and are
-/// partitioned row-by-row.  Throws like build_oracle (empty graph, fault
-/// partition).
+/// kReference solver runs service::reference_sweep straight into the shard
+/// rows (no flat n x n matrix ever exists); the CONGEST solvers produce the
+/// full closure and are partitioned row-by-row.  Throws like build_oracle
+/// (empty graph, fault partition).
 std::shared_ptr<ShardedOracle> build_sharded_oracle(
     const graph::Graph& g, const service::OracleBuildOptions& opts,
     std::size_t shards);

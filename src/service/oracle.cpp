@@ -1,6 +1,7 @@
 #include "service/oracle.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include "obs/trace.hpp"
 #include "seq/dijkstra.hpp"
 #include "util/int_math.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dapsp::service {
 
@@ -87,35 +89,6 @@ std::vector<Weight> flatten(const std::vector<std::vector<Weight>>& dist) {
   return flat;
 }
 
-/// next_hop(s, v) for every v of one source: all nodes on the shortest path
-/// s -> v share the same first hop, so one backward walk per unresolved node
-/// resolves its whole parent chain at once.  `stack` is caller-provided
-/// scratch so a full-matrix build reuses one allocation across sources.
-void fill_next_hops_from_parents(NodeId s, NodeId n,
-                                 std::span<const Weight> dist_row,
-                                 std::span<const NodeId> parent_row,
-                                 NodeId* next_row, std::vector<NodeId>& stack) {
-  for (NodeId v = 0; v < n; ++v) {
-    if (v == s || dist_row[v] == kInfDist || next_row[v] != kNoNode) continue;
-    stack.clear();
-    NodeId cur = v;
-    // Walk toward s until we hit a node whose first hop is known or whose
-    // parent is s itself.
-    while (true) {
-      util::check(stack.size() <= n, "make_oracle: parent chain has a cycle");
-      const NodeId p = parent_row[cur];
-      util::check(p != kNoNode && p < n,
-                  "make_oracle: parent chain does not reach its source");
-      if (p == s || next_row[p] != kNoNode) break;
-      stack.push_back(cur);
-      cur = p;
-    }
-    const NodeId hop = parent_row[cur] == s ? cur : next_row[parent_row[cur]];
-    next_row[cur] = hop;
-    for (const NodeId w : stack) next_row[w] = hop;
-  }
-}
-
 /// Fault-plan safety net for engine-backed builds: when the process-global
 /// fault plan is active, an unreachable entry in the result may mean the
 /// faults (a crashed cut vertex, unrecovered losses) severed pairs that the
@@ -186,12 +159,53 @@ class ScopedBuildRecorder {
 
 }  // namespace
 
+// All nodes on the shortest path s -> v share the same first hop, so one
+// backward walk per unresolved node resolves its whole parent chain at once.
 void next_hops_from_parents(NodeId s, NodeId n,
                             std::span<const Weight> dist_row,
                             std::span<const NodeId> parent_row,
                             NodeId* next_row) {
   std::vector<NodeId> stack;
-  fill_next_hops_from_parents(s, n, dist_row, parent_row, next_row, stack);
+  for (NodeId v = 0; v < n; ++v) {
+    if (v == s || dist_row[v] == kInfDist || next_row[v] != kNoNode) continue;
+    stack.clear();
+    NodeId cur = v;
+    // Walk toward s until we hit a node whose first hop is known or whose
+    // parent is s itself.
+    while (true) {
+      util::check(stack.size() <= n, "make_oracle: parent chain has a cycle");
+      const NodeId p = parent_row[cur];
+      util::check(p != kNoNode && p < n,
+                  "make_oracle: parent chain does not reach its source");
+      if (p == s || next_row[p] != kNoNode) break;
+      stack.push_back(cur);
+      cur = p;
+    }
+    const NodeId hop = parent_row[cur] == s ? cur : next_row[parent_row[cur]];
+    next_row[cur] = hop;
+    for (const NodeId w : stack) next_row[w] = hop;
+  }
+}
+
+OracleMeta reference_sweep(const Graph& g, std::span<Weight* const> dist_rows,
+                           std::span<NodeId* const> next_rows) {
+  const NodeId n = g.node_count();
+  util::check(dist_rows.size() == n && next_rows.size() == n,
+              "reference_sweep: need one dist and one next row per source");
+  const auto t0 = std::chrono::steady_clock::now();
+  util::ThreadPool::global().parallel_for(n, [&](std::size_t src) {
+    const NodeId s = static_cast<NodeId>(src);
+    const seq::SsspResult r = seq::dijkstra(g, s);
+    std::copy(r.dist.begin(), r.dist.end(), dist_rows[s]);
+    std::fill_n(next_rows[s], n, kNoNode);
+    next_hops_from_parents(s, n, r.dist, r.parent, next_rows[s]);
+  });
+  OracleMeta meta{kReferenceLabel, true, {}, {}};
+  meta.build_s = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+  meta.build_arcs = static_cast<std::uint64_t>(g.edge_count()) * n;
+  return meta;
 }
 
 DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
@@ -208,10 +222,9 @@ DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
     util::check(parent.size() == dist.size() && parent[0].size() == dist.size(),
                 "make_oracle: parent matrix shape mismatch");
     o.next_.assign(static_cast<std::size_t>(n) * n, kNoNode);
-    std::vector<NodeId> stack;
     for (NodeId s = 0; s < n; ++s) {
-      fill_next_hops_from_parents(s, n, dist[s], parent[s],
-                                  o.next_.data() + o.flat(s, 0), stack);
+      next_hops_from_parents(s, n, dist[s], parent[s],
+                             o.next_.data() + o.flat(s, 0));
     }
   }
   return o;
@@ -328,16 +341,18 @@ DistanceOracle build_oracle_impl(const Graph& g,
       return make_oracle(res.dist, {}, {label.str(), false, res.stats, {}});
     }
     case Solver::kReference: {
-      std::vector<std::vector<Weight>> dist(n);
-      std::vector<std::vector<NodeId>> parent(n);
+      const std::size_t cells = static_cast<std::size_t>(n) * n;
+      std::vector<Weight> dist(cells);
+      std::vector<NodeId> next(cells);
+      std::vector<Weight*> dist_rows(n);
+      std::vector<NodeId*> next_rows(n);
       for (NodeId s = 0; s < n; ++s) {
-        auto r = seq::dijkstra(g, s);
-        dist[s] = std::move(r.dist);
-        parent[s] = std::move(r.parent);
+        dist_rows[s] = dist.data() + static_cast<std::size_t>(s) * n;
+        next_rows[s] = next.data() + static_cast<std::size_t>(s) * n;
       }
-      return make_oracle(dist, parent,
-                         {"reference (sequential Dijkstra sweep)", true, {},
-                          {}});
+      OracleMeta meta = reference_sweep(g, dist_rows, next_rows);
+      return make_oracle_from_rows(n, std::move(dist), std::move(next),
+                                   std::move(meta));
     }
   }
   throw std::logic_error("build_oracle: unhandled solver");

@@ -32,8 +32,9 @@ enum class Solver {
   kBlocker,    ///< Algorithm 3 APSP (Thm I.2/I.3)
   kScaled,     ///< multiplexed per-source Algorithm 2 (Sec. II-C)
   kApprox,     ///< (1+eps)-approx APSP (Thm I.5); distance-only oracle
-  kReference,  ///< sequential Dijkstra sweep -- not a CONGEST run; the fast
-               ///< local builder for serving large graphs and for tests
+  kReference,  ///< seq::dijkstra from every source, pooled across the
+               ///< global thread pool -- not a CONGEST run; the fast local
+               ///< builder for serving large graphs and for tests
 };
 
 const char* solver_name(Solver s);
@@ -62,7 +63,21 @@ struct OracleMeta {
   /// Critical-path summary of the producing build; empty() unless the
   /// build ran with OracleBuildOptions::critpath.
   obs::CritPathSummary critpath;
+  /// Reference sweep only (0 for engine builds): its wall seconds and the
+  /// arcs it scanned, arcs x sources, as Graph500 counts traversed edges.
+  double build_s = 0;
+  std::uint64_t build_arcs = 0;
+
+  /// Millions of traversed arcs per second of the reference sweep; 0 when
+  /// no sweep was timed.
+  double build_mteps() const noexcept {
+    return build_s > 0 ? static_cast<double>(build_arcs) / build_s * 1e-6 : 0;
+  }
 };
+
+/// Label of every reference-built oracle, flat or sharded.
+inline constexpr const char* kReferenceLabel =
+    "reference (pooled Dijkstra sweep)";
 
 class DistanceOracle {
  public:
@@ -147,15 +162,25 @@ DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
 
 /// Fills next_row[v] (first hop s -> v) for one source from its distance and
 /// parent rows; `next_row` must hold n entries initialized to kNoNode.  This
-/// is the per-source routine make_oracle runs for every row, exposed so the
-/// sharded serving tier (serve/sharded_oracle.*) can fill shard rows
-/// directly -- bit-identical to the flat construction -- without ever
-/// materializing the full matrix.  Throws std::logic_error on parent chains
-/// that cycle or fail to reach their source.
+/// is the per-source routine make_oracle runs for every row and the
+/// reference sweep runs on every Dijkstra result.  Throws std::logic_error
+/// on parent chains that cycle or fail to reach their source.
 void next_hops_from_parents(NodeId s, NodeId n,
                             std::span<const Weight> dist_row,
                             std::span<const NodeId> parent_row,
                             NodeId* next_row);
+
+/// The reference build, shared by the flat and the sharded oracle: runs
+/// seq::dijkstra from every source on util::ThreadPool::global() and writes
+/// source s's distances to dist_rows[s][0, n) and its first hops
+/// (next_hops_from_parents) to next_rows[s][0, n), straight into the
+/// caller's final storage.  Both spans hold g.node_count() row pointers.
+/// Returns the meta of a reference oracle, with the sweep's wall seconds and
+/// arcs x sources.  A throw in any source's work (a corrupt parent chain)
+/// propagates to the caller once the pool has drained.
+OracleMeta reference_sweep(const graph::Graph& g,
+                           std::span<Weight* const> dist_rows,
+                           std::span<NodeId* const> next_rows);
 
 /// Same, deriving next hops from the distance matrix over g's arcs: the
 /// first hop toward v is the out-neighbor w with w(u,w) + dist(w,v) =
@@ -167,7 +192,8 @@ DistanceOracle make_oracle_from_distances(
     const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta);
 
 /// Adopts already-flattened row-major tables without recomputation -- the
-/// socket coordinator's reassembly path, where workers ship finished rows.
+/// reference build's and the socket coordinator's path (workers ship
+/// finished rows).
 /// `dist` must hold exactly n*n entries; `next` holds n*n entries or is
 /// empty for a distance-only oracle.  Throws std::logic_error on size
 /// mismatch.  No parent-chain revalidation happens here: the rows come from

@@ -573,6 +573,8 @@ ServiceStats QueryService::stats() const {
   if (const obs::CritPathSummary* cp = snap->build_critpath()) {
     st.last_build_critpath = *cp;
   }
+  st.last_build_s = snap->meta().build_s;
+  st.last_build_mteps = snap->meta().build_mteps();
   return st;
 }
 

@@ -35,18 +35,22 @@ class OracleSnapshot {
   virtual ~OracleSnapshot() = default;
 
   virtual NodeId node_count() const noexcept = 0;
-  /// False when distances are (1+eps)-approximate.
-  virtual bool exact() const noexcept = 0;
   /// True when a next-hop table exists (approx oracles are distance-only).
   virtual bool has_paths() const noexcept = 0;
-  virtual const std::string& solver_label() const noexcept = 0;
+  /// Provenance of the build that produced the matrices.
+  virtual const OracleMeta& meta() const noexcept = 0;
+  /// False when distances are (1+eps)-approximate.
+  bool exact() const noexcept { return meta().exact; }
+  const std::string& solver_label() const noexcept { return meta().label; }
   /// Stats of the run that produced the matrices (zeroed for kReference).
-  virtual const congest::RunStats& build_stats() const noexcept = 0;
+  const congest::RunStats& build_stats() const noexcept {
+    return meta().stats;
+  }
   /// Critical-path summary of the producing build; nullptr when the build
   /// was not profiled (OracleBuildOptions::critpath off, reference solver,
   /// or a process-global recorder owned the observation).
-  virtual const obs::CritPathSummary* build_critpath() const noexcept {
-    return nullptr;
+  const obs::CritPathSummary* build_critpath() const noexcept {
+    return meta().critpath.empty() ? nullptr : &meta().critpath;
   }
   /// Bytes held by the distance + next-hop tables across all shards.
   virtual std::size_t memory_bytes() const noexcept = 0;
@@ -93,18 +97,8 @@ class FlatSnapshot final : public OracleSnapshot {
   const DistanceOracle& oracle() const noexcept { return oracle_; }
 
   NodeId node_count() const noexcept override { return oracle_.node_count(); }
-  bool exact() const noexcept override { return oracle_.exact(); }
   bool has_paths() const noexcept override { return oracle_.has_paths(); }
-  const std::string& solver_label() const noexcept override {
-    return oracle_.solver_label();
-  }
-  const congest::RunStats& build_stats() const noexcept override {
-    return oracle_.build_stats();
-  }
-  const obs::CritPathSummary* build_critpath() const noexcept override {
-    return oracle_.meta().critpath.empty() ? nullptr
-                                           : &oracle_.meta().critpath;
-  }
+  const OracleMeta& meta() const noexcept override { return oracle_.meta(); }
   std::size_t memory_bytes() const noexcept override {
     return oracle_.memory_bytes();
   }

@@ -110,6 +110,10 @@ struct ServiceStats {
   /// Critical-path summary of the build that produced the serving snapshot;
   /// empty() unless that build ran with OracleBuildOptions::critpath.
   obs::CritPathSummary last_build_critpath;
+  /// Wall seconds and MTEPS (arcs x sources / s / 1e6) of the reference
+  /// sweep that built the serving snapshot; both 0 for engine-built oracles.
+  double last_build_s = 0;
+  double last_build_mteps = 0;
 
   const QueryTypeStats& of(QueryType t) const {
     return per_type[static_cast<std::size_t>(t)];
@@ -151,6 +155,10 @@ struct ServiceStats {
     rebuild_ns += o.rebuild_ns;
     if (shards.empty()) shards = o.shards;
     if (last_build_critpath.empty()) last_build_critpath = o.last_build_critpath;
+    if (last_build_s == 0) {
+      last_build_s = o.last_build_s;
+      last_build_mteps = o.last_build_mteps;
+    }
     return *this;
   }
 
@@ -171,6 +179,8 @@ struct ServiceStats {
        << " evictions=" << cache_evictions << "]";
     os << " snapshot[epoch=" << snapshot_epoch << " swaps=" << swaps
        << " shards=" << shards.size() << "]";
+    os << " last_build_s=" << last_build_s
+       << " last_build_mteps=" << last_build_mteps;
     if (!last_build_critpath.empty()) {
       const auto& c = last_build_critpath;
       os << " critpath[runs=" << c.runs << " chain=" << c.chain_len
@@ -228,6 +238,8 @@ struct ServiceStats {
     }
     w.end_array();
     w.end_object();
+    w.field("last_build_s", last_build_s)
+        .field("last_build_mteps", last_build_mteps);
     if (!last_build_critpath.empty()) {
       w.key("critpath");
       last_build_critpath.write_json(w);

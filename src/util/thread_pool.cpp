@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -17,6 +18,26 @@ struct ThreadPool::Batch {
   std::atomic<std::size_t> cursor{0};
   std::size_t chunk = 1;
   std::size_t finished_workers = 0;  // guarded by pool mutex
+  // Set by the first index that throws; no chunk is handed out after it.
+  // `error` is written once by the thread that flipped `failed` and read by
+  // the caller only after every worker has reported finished (under the
+  // pool mutex), so the mutex orders the write before the read.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
+
+  /// Claims and runs chunks until the cursor passes n or an index throws.
+  void run_chunks() noexcept {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t start = cursor.fetch_add(chunk);
+      if (start >= n) return;
+      const std::size_t end = std::min(n, start + chunk);
+      try {
+        for (std::size_t i = start; i < end; ++i) fn(ctx, i);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+    }
+  }
 };
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -94,17 +115,18 @@ void ThreadPool::parallel_for_raw(std::size_t n, void* ctx, RawFn fn) {
   }
   work_cv_.notify_all();
 
-  // The caller works too.
-  while (true) {
-    const std::size_t start = batch.cursor.fetch_add(batch.chunk);
-    if (start >= n) break;
-    const std::size_t end = std::min(n, start + batch.chunk);
-    for (std::size_t i = start; i < end; ++i) fn(ctx, i);
-  }
+  // The caller works too.  Its share never unwinds past this frame while
+  // workers still hold `&batch`: a throw is captured like a worker's and
+  // rethrown only after every worker has let go of the batch.
+  batch.run_chunks();
 
-  std::unique_lock lock(mutex_);
-  done_cv_.wait(lock, [&] { return batch.finished_workers == workers_.size(); });
-  batch_ = nullptr;
+  {
+    std::unique_lock lock(mutex_);
+    done_cv_.wait(lock,
+                  [&] { return batch.finished_workers == workers_.size(); });
+    batch_ = nullptr;
+  }
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 void ThreadPool::worker_loop() {
@@ -118,12 +140,7 @@ void ThreadPool::worker_loop() {
       seen = generation_;
       batch = batch_;
     }
-    while (true) {
-      const std::size_t start = batch->cursor.fetch_add(batch->chunk);
-      if (start >= batch->n) break;
-      const std::size_t end = std::min(batch->n, start + batch->chunk);
-      for (std::size_t i = start; i < end; ++i) batch->fn(batch->ctx, i);
-    }
+    batch->run_chunks();
     {
       std::lock_guard lock(mutex_);
       ++batch->finished_workers;

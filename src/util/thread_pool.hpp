@@ -44,6 +44,10 @@ class ThreadPool {
   /// a time, and a caller that finds them busy executes its batch inline on
   /// its own thread instead of blocking (concurrent submitters are already
   /// parallel with each other).
+  ///
+  /// If fn throws, no further chunks are handed out; once every thread has
+  /// left the batch, the first exception is rethrown on the calling thread
+  /// (indices not yet claimed are skipped).
   template <typename F>
   void parallel_for(std::size_t n, F&& fn) {
     using Fn = std::remove_reference_t<F>;

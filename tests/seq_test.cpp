@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "seq/bellman_ford.hpp"
@@ -60,6 +63,93 @@ TEST(Dijkstra, ReverseMatchesForwardOnReversedGraph) {
     for (NodeId v = 0; v < g.node_count(); ++v) {
       const auto fwd = dijkstra(g, v);
       EXPECT_EQ(rev.dist[v], fwd.dist[t]) << "v=" << v << " t=" << t;
+    }
+  }
+}
+
+/// Independent (d, l, min-parent) reference: label-correct (dist, hops) to
+/// a fixpoint over every arc, then pick each node's parent as the smallest
+/// id among the in-neighbours that realize its label.  `reverse` follows
+/// arcs backwards (labels are distances into `root`).
+SsspResult label_correcting(const Graph& g, NodeId root, bool reverse) {
+  const NodeId n = g.node_count();
+  SsspResult r{std::vector<Weight>(n, kInfDist),
+               std::vector<std::uint32_t>(n, 0),
+               std::vector<NodeId>(n, kNoNode)};
+  r.dist[root] = 0;
+  const auto tail = [&](const Edge& e) { return reverse ? e.to : e.from; };
+  const auto head = [&](const Edge& e) { return reverse ? e.from : e.to; };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const Edge& e : g.edges()) {
+      const NodeId u = tail(e);
+      const NodeId v = head(e);
+      if (r.dist[u] == kInfDist) continue;
+      const Weight d = r.dist[u] + e.weight;
+      const std::uint32_t h = r.hops[u] + 1;
+      if (d < r.dist[v] || (d == r.dist[v] && h < r.hops[v])) {
+        r.dist[v] = d;
+        r.hops[v] = h;
+        changed = true;
+      }
+    }
+  }
+  for (const Edge& e : g.edges()) {
+    const NodeId u = tail(e);
+    const NodeId v = head(e);
+    if (v == root || r.dist[u] == kInfDist) continue;
+    if (r.dist[u] + e.weight == r.dist[v] && r.hops[u] + 1 == r.hops[v]) {
+      r.parent[v] = std::min(r.parent[v], u);
+    }
+  }
+  return r;
+}
+
+void expect_same_labels(const SsspResult& got, const SsspResult& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.dist.size(), want.dist.size()) << where;
+  for (std::size_t v = 0; v < want.dist.size(); ++v) {
+    ASSERT_EQ(got.dist[v], want.dist[v]) << where << " v=" << v;
+    ASSERT_EQ(got.hops[v], want.hops[v]) << where << " v=" << v;
+    ASSERT_EQ(got.parent[v], want.parent[v]) << where << " v=" << v;
+  }
+}
+
+TEST(Dijkstra, MatchesLabelCorrectingReferenceOnRandomGraphs) {
+  // Weights 0..2 with extra zero coin flips give many zero arcs and many
+  // equal-(d, l) ties; connect=false leaves disconnected parts.
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    const bool directed = seed % 2 == 0;
+    const double zeros = seed % 3 == 0 ? 0.6 : 0.3;
+    const Graph g = graph::erdos_renyi(40, 0.06, {0, 2, zeros}, 500 + seed,
+                                       directed, /*connect=*/false);
+    for (NodeId s = 0; s < g.node_count(); s += 3) {
+      const std::string where = "seed=" + std::to_string(seed) +
+                                " s=" + std::to_string(s);
+      expect_same_labels(dijkstra(g, s), label_correcting(g, s, false),
+                         "forward " + where);
+      expect_same_labels(dijkstra_reverse(g, s), label_correcting(g, s, true),
+                         "reverse " + where);
+    }
+  }
+}
+
+TEST(Dijkstra, WorkspaceReuseAcrossGraphSizes) {
+  // One thread, so every call shares one heap and settled array: a large
+  // graph, then a tiny one, then the large one again must each come out
+  // exactly as the reference says.
+  const Graph big = graph::erdos_renyi(500, 0.01, {0, 3, 0.3}, 61,
+                                       /*directed=*/true, /*connect=*/false);
+  const Graph tiny = graph::path(3, {0, 1, 0.5}, 62);
+  for (const Graph* g : {&big, &tiny, &big}) {
+    const NodeId n = g->node_count();
+    for (const NodeId s : {NodeId{0}, NodeId{1}, static_cast<NodeId>(n - 1)}) {
+      const std::string where = "n=" + std::to_string(n) +
+                                " s=" + std::to_string(s);
+      expect_same_labels(dijkstra(*g, s), label_correcting(*g, s, false),
+                         "forward " + where);
+      expect_same_labels(dijkstra_reverse(*g, s),
+                         label_correcting(*g, s, true), "reverse " + where);
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "obs/json.hpp"
 #include "service/query_service.hpp"
 #include "seq/dijkstra.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dapsp::service {
 namespace {
@@ -155,6 +156,28 @@ TEST(Oracle, MakeOracleRejectsBadInput) {
   EXPECT_THROW(make_oracle(dist, parent, {"x", true, {}, {}}), std::logic_error);
 }
 
+TEST(Oracle, CorruptParentRowInPooledSweepIsCatchable) {
+  // The reference sweep's per-source work -- Dijkstra, then the next-hop
+  // fill with its parent-chain checks -- run on the global pool with one
+  // source's parent row corrupted into a self-loop.  The check's throw must
+  // reach the caller as an ordinary exception, and the pool must then run
+  // the real sweep.
+  const Graph g = graph::erdos_renyi(64, 0.1, {0, 4, 0.3}, 77);
+  const NodeId n = g.node_count();
+  constexpr NodeId kCorrupt = 37;
+  std::vector<NodeId> next(static_cast<std::size_t>(n) * n, kNoNode);
+  EXPECT_THROW(
+      util::ThreadPool::global().parallel_for(n, [&](std::size_t src) {
+        const NodeId s = static_cast<NodeId>(src);
+        seq::SsspResult r = seq::dijkstra(g, s);
+        if (s == kCorrupt) r.parent[(s + 1) % n] = (s + 1) % n;
+        next_hops_from_parents(s, n, r.dist, r.parent,
+                               next.data() + static_cast<std::size_t>(s) * n);
+      }),
+      std::logic_error);
+  expect_matches_dijkstra(g, build_oracle(g, {Solver::kReference, 0, 0.5}));
+}
+
 // ---------------------------------------------------------------------------
 
 std::vector<Query> mixed_batch(NodeId n, std::size_t count) {
@@ -277,6 +300,8 @@ TEST(QueryService, StatsCompose) {
   a.of(QueryType::kDist).errors = 1;
   a.of(QueryType::kDist).error_ns = 400;
   a.cache_hits = 3;
+  b.last_build_s = 0.5;
+  b.last_build_mteps = 40;
   b.of(QueryType::kDist).latency.record(20);
   b.of(QueryType::kDist).latency.record_n(120, 3);
   b.of(QueryType::kDist).latency.record(300);
@@ -294,6 +319,10 @@ TEST(QueryService, StatsCompose) {
   EXPECT_EQ(a.cache_misses, 2u);
   EXPECT_EQ(a.batches, 1u);
   EXPECT_DOUBLE_EQ(a.cache_hit_rate(), 0.6);
+  // Build timing is point-in-time: a side without a timed build adopts
+  // the other's.
+  EXPECT_EQ(a.last_build_s, 0.5);
+  EXPECT_EQ(a.last_build_mteps, 40);
 }
 
 TEST(QueryService, ErrorTimeDoesNotInflateLatency) {
@@ -452,6 +481,36 @@ TEST(Protocol, ServeJsonStatsLineIsStructured) {
   EXPECT_NE(text.find("\"latency_ns\""), std::string::npos);
   EXPECT_NE(text.find("\"p99\""), std::string::npos);
   EXPECT_NE(text.find("\"errors\":1"), std::string::npos);
+  EXPECT_NE(text.find("\"last_build_s\":"), std::string::npos);
+  EXPECT_NE(text.find("\"last_build_mteps\":"), std::string::npos);
+}
+
+TEST(QueryService, StatsReportReferenceBuildMteps) {
+  const Graph g = graph::erdos_renyi(48, 0.1, {0, 5, 0.2}, 23);
+  const QueryService ref(build_oracle(g, {Solver::kReference, 0, 0.5}));
+  const ServiceStats rs = ref.stats();
+  EXPECT_GT(rs.last_build_s, 0.0);
+  EXPECT_GT(rs.last_build_mteps, 0.0);
+  // MTEPS is arcs x sources over the sweep's seconds.
+  EXPECT_DOUBLE_EQ(rs.last_build_mteps,
+                   static_cast<double>(g.edge_count()) * g.node_count() /
+                       rs.last_build_s * 1e-6);
+  EXPECT_NE(rs.summary().find("last_build_s="), std::string::npos);
+  EXPECT_NE(rs.summary().find("last_build_mteps="), std::string::npos);
+
+  // An engine-built snapshot has no sweep to time.
+  const Graph small = graph::path(8, {1, 3, 0.0}, 24);
+  const QueryService eng(build_oracle(small, {Solver::kPipelined, 0, 0.5}));
+  const ServiceStats es = eng.stats();
+  EXPECT_EQ(es.last_build_s, 0.0);
+  EXPECT_EQ(es.last_build_mteps, 0.0);
+  EXPECT_NE(es.summary().find("last_build_s=0 last_build_mteps=0"),
+            std::string::npos);
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  es.write_json(w);
+  EXPECT_TRUE(obs::json_valid(os.str())) << os.str();
+  EXPECT_NE(os.str().find("\"last_build_mteps\":0"), std::string::npos);
 }
 
 TEST(Protocol, UnreachableRendering) {

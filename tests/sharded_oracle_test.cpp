@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "graph/generators.hpp"
+#include "seq/dijkstra.hpp"
 #include "serve/sharded_oracle.hpp"
 #include "service/snapshot.hpp"
 
@@ -17,6 +18,7 @@ namespace {
 using graph::Graph;
 using graph::kInfDist;
 using graph::kNoNode;
+using graph::Weight;
 
 const std::size_t kShardCounts[] = {1, 2, 4, 8};
 
@@ -91,6 +93,46 @@ TEST(ShardedOracle, FromFlatMatchesDirectBuild) {
     const auto repartitioned = ShardedOracle::from_flat(flat, shards);
     expect_identical(flat, *repartitioned);
     expect_valid_layout(*repartitioned);
+  }
+}
+
+/// The reference closure built the slow, obvious way: one serial
+/// seq::dijkstra per source into the vector-of-rows make_oracle.
+service::DistanceOracle serial_reference(const Graph& g) {
+  std::vector<std::vector<Weight>> dist;
+  std::vector<std::vector<NodeId>> parent;
+  for (NodeId s = 0; s < g.node_count(); ++s) {
+    seq::SsspResult r = seq::dijkstra(g, s);
+    dist.push_back(std::move(r.dist));
+    parent.push_back(std::move(r.parent));
+  }
+  return service::make_oracle(dist, parent,
+                              {service::kReferenceLabel, true, {}, {}});
+}
+
+TEST(ShardedOracle, PooledReferenceSweepMatchesSerialBuild) {
+  const Graph rmat = graph::rmat(8, 8, {0, 8, 0.0}, 11);
+  const Graph zero_grid = graph::grid(12, 12, {0, 2, 0.7}, 12);
+  const service::OracleBuildOptions opts{service::Solver::kReference, 0, 0.5};
+  for (const Graph* g : {&rmat, &zero_grid}) {
+    SCOPED_TRACE("n=" + std::to_string(g->node_count()));
+    const service::DistanceOracle serial = serial_reference(*g);
+    const service::DistanceOracle flat = service::build_oracle(*g, opts);
+    expect_identical(serial, *service::make_flat_snapshot(flat));
+    // The sweep's provenance: arcs x sources over its own wall time.
+    const std::uint64_t arcs =
+        static_cast<std::uint64_t>(g->edge_count()) * g->node_count();
+    EXPECT_EQ(flat.meta().build_arcs, arcs);
+    EXPECT_GT(flat.meta().build_s, 0.0);
+    EXPECT_GT(flat.meta().build_mteps(), 0.0);
+    for (const std::size_t shards : {1u, 3u, 8u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      const auto sharded = build_sharded_oracle(*g, opts, shards);
+      expect_identical(flat, *sharded);
+      expect_valid_layout(*sharded);
+      EXPECT_EQ(sharded->meta().build_arcs, arcs);
+      EXPECT_GT(sharded->meta().build_s, 0.0);
+    }
   }
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/int_math.hpp"
@@ -222,6 +225,89 @@ TEST(ThreadPool, ConcurrentSubmittersAllComplete) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(sum.load(),
             static_cast<std::uint64_t>(kSubmitters) * kRounds * (64 * 63 / 2));
+}
+
+// A throw inside pooled work must come back to the caller as an ordinary
+// exception -- never std::terminate from a worker, never the caller
+// unwinding while workers still run on its batch -- and leave the pool
+// usable for the next batch.
+void expect_pool_still_works(ThreadPool& pool) {
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i]++; });
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+/// Spins until `flag` is set or a generous deadline passes (so a broken
+/// pool fails the test instead of hanging it).
+void wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(ThreadPool, ThrowAtIndexRethrowsOnCaller) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    for (const std::size_t at : {0u, 500u, 999u}) {
+      std::atomic<std::size_t> ran{0};
+      const auto body = [&](std::size_t i) {
+        if (i == at) throw std::runtime_error("boom");
+        ran++;
+      };
+      EXPECT_THROW(pool.parallel_for(1000, body), std::runtime_error)
+          << threads << " threads, throw at " << at;
+      EXPECT_LT(ran.load(), 1000u);
+      expect_pool_still_works(pool);
+    }
+  }
+}
+
+TEST(ThreadPool, ThrowOnCallerThreadWaitsForWorkers) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> caller_started{false};
+    std::atomic<int> in_flight{0};
+    const auto body = [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        caller_started = true;
+        throw std::logic_error("caller");
+      }
+      // Workers hold the batch until the caller threw: the rethrow must
+      // wait for them to let go.
+      in_flight++;
+      wait_for(caller_started);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      in_flight--;
+    };
+    EXPECT_THROW(pool.parallel_for(4000, body), std::logic_error)
+        << threads << " threads";
+    EXPECT_EQ(in_flight.load(), 0) << threads << " threads";
+    expect_pool_still_works(pool);
+  }
+}
+
+TEST(ThreadPool, ThrowOnWorkerThreadRethrowsOnCaller) {
+  // A pool of 1 has no worker thread: every index runs on the caller, which
+  // ThrowAtIndexRethrowsOnCaller covers.
+  for (const std::size_t threads : {2u, 8u}) {
+    ThreadPool pool(threads);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> worker_threw{false};
+    const auto body = [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        worker_threw = true;
+        throw std::out_of_range("worker");
+      }
+      wait_for(worker_threw);  // keep the caller in the batch until then
+    };
+    EXPECT_THROW(pool.parallel_for(4000, body), std::out_of_range)
+        << threads << " threads";
+    EXPECT_TRUE(worker_threw.load());
+    expect_pool_still_works(pool);
+  }
 }
 
 }  // namespace
