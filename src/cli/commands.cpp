@@ -19,8 +19,6 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
-#include "net/coordinator.hpp"
-#include "net/worker.hpp"
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -301,16 +299,7 @@ service::QueryService make_service(const Options& opt, const Graph& g,
   const service::OracleBuildOptions b = make_build_options(opt);
   const auto t0 = std::chrono::steady_clock::now();
   std::shared_ptr<service::OracleSnapshot> snap;
-  if (opt.backend == "socket") {
-    // Multi-process build: the coordinator spawns `dapsp worker` children
-    // and reassembles a bit-identical oracle from their owned rows.  The
-    // parser already rejected --shards/--faults/--critpath combinations.
-    net::SocketBackendOptions sopt;
-    sopt.workers = opt.workers;
-    sopt.tcp = opt.transport == "tcp";
-    sopt.timeout_ms = opt.net_timeout_ms;
-    snap = service::make_flat_snapshot(net::socket_build_oracle(g, b, sopt));
-  } else if (opt.shards <= 1) {
+  if (opt.shards <= 1) {
     snap = service::make_flat_snapshot(service::build_oracle(g, b));
   } else {
     snap = serve::build_sharded_oracle(g, b, opt.shards);
@@ -634,12 +623,6 @@ int run_command(const Options& opt, std::ostream& out, std::ostream& err) {
       out << usage();
       return 0;
     }
-    if (opt.command == Command::kWorker) {
-      // Shard process: no input graph of its own -- the job (graph + solver
-      // options) arrives over the socket from the coordinator that spawned
-      // us.  Dispatched before make_input_graph for exactly that reason.
-      return net::worker_main({opt.connect, opt.rank, opt.net_timeout_ms});
-    }
     const Graph g = make_input_graph(opt);
     const TraceScope trace(opt);
     const FaultScope faults(opt);
@@ -670,7 +653,6 @@ int run_command(const Options& opt, std::ostream& out, std::ostream& err) {
       case Command::kProfile:
         rc = cmd_profile(opt, g, *trace.recorder(), out);
         break;
-      case Command::kWorker:
       case Command::kHelp:
         break;
     }

@@ -219,8 +219,12 @@ DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
   o.meta_ = std::move(meta);
   o.dist_ = flatten(dist);
   if (!parent.empty()) {
-    util::check(parent.size() == dist.size() && parent[0].size() == dist.size(),
+    util::check(parent.size() == dist.size(),
                 "make_oracle: parent matrix shape mismatch");
+    for (const auto& row : parent) {
+      util::check(row.size() == dist.size(),
+                  "make_oracle: parent matrix shape mismatch");
+    }
     o.next_.assign(static_cast<std::size_t>(n) * n, kNoNode);
     for (NodeId s = 0; s < n; ++s) {
       next_hops_from_parents(s, n, dist[s], parent[s],
@@ -238,6 +242,10 @@ DistanceOracle make_oracle_from_distances(
               "make_oracle_from_distances: matrix does not match graph");
   util::check(hops.size() == dist.size(),
               "make_oracle_from_distances: hops matrix shape mismatch");
+  for (const auto& row : hops) {
+    util::check(row.size() == dist.size(),
+                "make_oracle_from_distances: hops matrix shape mismatch");
+  }
   const NodeId n = static_cast<NodeId>(dist.size());
   DistanceOracle o;
   o.n_ = n;
@@ -267,32 +275,29 @@ DistanceOracle make_oracle_from_distances(
   return o;
 }
 
-DistanceOracle make_oracle_from_rows(NodeId n, std::vector<Weight> dist,
-                                     std::vector<NodeId> next,
-                                     OracleMeta meta) {
-  const std::size_t cells = static_cast<std::size_t>(n) * n;
-  util::check(n > 0, "make_oracle_from_rows: empty oracle");
-  util::check(dist.size() == cells,
-              "make_oracle_from_rows: dist table is not n*n");
-  util::check(next.empty() || next.size() == cells,
-              "make_oracle_from_rows: next table is not n*n");
-  DistanceOracle o;
-  o.n_ = n;
-  o.exact_ = meta.exact;
-  o.meta_ = std::move(meta);
-  o.dist_ = std::move(dist);
-  o.next_ = std::move(next);
-  return o;
-}
-
 DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts) {
   util::check(g.node_count() > 0, "build_oracle: empty graph");
   // kReference never touches the engine: no fault plan can have bent it,
-  // and there is no round structure for the profiler to observe.
-  const ScopedBuildRecorder profile(opts.critpath &&
-                                    opts.solver != Solver::kReference);
+  // and there is no round structure for the profiler to observe.  The
+  // sweep writes its rows straight into the oracle's flat tables.
+  if (opts.solver == Solver::kReference) {
+    const NodeId n = g.node_count();
+    DistanceOracle o;
+    o.n_ = n;
+    o.dist_.resize(static_cast<std::size_t>(n) * n);
+    o.next_.resize(static_cast<std::size_t>(n) * n);
+    std::vector<Weight*> dist_rows(n);
+    std::vector<NodeId*> next_rows(n);
+    for (NodeId s = 0; s < n; ++s) {
+      dist_rows[s] = o.dist_.data() + o.flat(s, 0);
+      next_rows[s] = o.next_.data() + o.flat(s, 0);
+    }
+    o.meta_ = reference_sweep(g, dist_rows, next_rows);
+    return o;
+  }
+  const ScopedBuildRecorder profile(opts.critpath);
   DistanceOracle o = build_oracle_impl(g, opts);
-  if (opts.solver != Solver::kReference) check_fault_partition(g, o);
+  check_fault_partition(g, o);
   if (profile.recorder() != nullptr) {
     o.meta_.critpath =
         obs::summarize(obs::analyze_critical_path(*profile.recorder()));
@@ -340,20 +345,8 @@ DistanceOracle build_oracle_impl(const Graph& g,
             << " scales); distance-only";
       return make_oracle(res.dist, {}, {label.str(), false, res.stats, {}});
     }
-    case Solver::kReference: {
-      const std::size_t cells = static_cast<std::size_t>(n) * n;
-      std::vector<Weight> dist(cells);
-      std::vector<NodeId> next(cells);
-      std::vector<Weight*> dist_rows(n);
-      std::vector<NodeId*> next_rows(n);
-      for (NodeId s = 0; s < n; ++s) {
-        dist_rows[s] = dist.data() + static_cast<std::size_t>(s) * n;
-        next_rows[s] = next.data() + static_cast<std::size_t>(s) * n;
-      }
-      OracleMeta meta = reference_sweep(g, dist_rows, next_rows);
-      return make_oracle_from_rows(n, std::move(dist), std::move(next),
-                                   std::move(meta));
-    }
+    case Solver::kReference:
+      break;  // build_oracle fills the reference tables itself
   }
   throw std::logic_error("build_oracle: unhandled solver");
 }

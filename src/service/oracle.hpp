@@ -135,10 +135,6 @@ class DistanceOracle {
   friend DistanceOracle make_oracle_from_distances(
       const graph::Graph& g, const std::vector<std::vector<Weight>>& dist,
       const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta);
-  friend DistanceOracle make_oracle_from_rows(NodeId n,
-                                              std::vector<Weight> dist,
-                                              std::vector<NodeId> next,
-                                              OracleMeta meta);
 
   std::size_t flat(NodeId u, NodeId v) const noexcept {
     return static_cast<std::size_t>(u) * n_ + v;
@@ -190,18 +186,6 @@ OracleMeta reference_sweep(const graph::Graph& g,
 DistanceOracle make_oracle_from_distances(
     const graph::Graph& g, const std::vector<std::vector<Weight>>& dist,
     const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta);
-
-/// Adopts already-flattened row-major tables without recomputation -- the
-/// reference build's and the socket coordinator's path (workers ship
-/// finished rows).
-/// `dist` must hold exactly n*n entries; `next` holds n*n entries or is
-/// empty for a distance-only oracle.  Throws std::logic_error on size
-/// mismatch.  No parent-chain revalidation happens here: the rows come from
-/// a builder that already validated them, and the coordinator's digest
-/// checks guard the transport.
-DistanceOracle make_oracle_from_rows(NodeId n, std::vector<Weight> dist,
-                                     std::vector<NodeId> next,
-                                     OracleMeta meta);
 
 /// Enum-dispatched factory: runs the chosen solver on g and builds the
 /// oracle from its output.

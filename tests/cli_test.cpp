@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/commands.hpp"
 #include "cli/options.hpp"
@@ -65,6 +68,22 @@ TEST(CliOptions, RejectsBadInput) {
   EXPECT_THROW(parse({"apsp", "--wmin", "5", "--wmax", "2"}),
                std::invalid_argument);
   EXPECT_THROW(parse({"kssp", "--sources", "1,,2"}), std::invalid_argument);
+  // The multi-process backend is gone: its command and flags fail loudly
+  // instead of being silently ignored.
+  EXPECT_THROW(parse({"worker"}), std::invalid_argument);
+  for (const auto& [name, value] :
+       std::vector<std::pair<std::string, const char*>>{
+           {"backend", "socket"},
+           {"workers", "2"},
+           {"transport", "tcp"},
+           {"net-timeout-ms", "1"},
+           {"connect", "x"},
+           {"rank", "0"}}) {
+    const std::string flag = "--" + name;
+    EXPECT_THROW(parse({"query", "--q", "dist 0 1", flag.c_str(), value}),
+                 std::invalid_argument)
+        << flag;
+  }
 }
 
 // Regression: unsigned flags used to be parsed as int64 and static_cast into
@@ -128,38 +147,6 @@ TEST(CliOptions, RejectsNonFiniteAndOutOfDomainDoubles) {
   EXPECT_DOUBLE_EQ(parse({"gen", "--p", "0"}).p, 0.0);
   EXPECT_DOUBLE_EQ(parse({"gen", "--p", "1"}).p, 1.0);
   EXPECT_DOUBLE_EQ(parse({"gen", "--zero", "1"}).zero_fraction, 1.0);
-}
-
-TEST(CliOptions, ParsesBackendAndWorkerFlags) {
-  const Options q = parse({"query", "--q", "dist 0 1", "--backend", "socket",
-                           "--workers", "4", "--transport", "tcp",
-                           "--net-timeout-ms", "9000"});
-  EXPECT_EQ(q.backend, "socket");
-  EXPECT_EQ(q.workers, 4u);
-  EXPECT_EQ(q.transport, "tcp");
-  EXPECT_EQ(q.net_timeout_ms, 9000u);
-
-  const Options w = parse({"worker", "--connect", "unix:/tmp/s.sock",
-                           "--rank", "3", "--net-timeout-ms", "500"});
-  EXPECT_EQ(w.command, Command::kWorker);
-  EXPECT_EQ(w.connect, "unix:/tmp/s.sock");
-  EXPECT_EQ(w.rank, 3u);
-
-  EXPECT_THROW(parse({"worker"}), std::invalid_argument);  // needs --connect
-  EXPECT_THROW(parse({"query", "--q", "x", "--backend", "bogus"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse({"query", "--q", "x", "--transport", "carrier-pigeon"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse({"apsp", "--backend", "socket"}), std::invalid_argument);
-  EXPECT_THROW(parse({"query", "--q", "x", "--backend", "socket", "--shards",
-                      "2"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse({"query", "--q", "x", "--backend", "socket", "--faults",
-                      "drop=0.1"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse({"query", "--q", "x", "--backend", "socket",
-                      "--critpath"}),
-               std::invalid_argument);
 }
 
 TEST(CliCommands, MakeInputGraphGenerators) {

@@ -154,6 +154,17 @@ TEST(Oracle, MakeOracleRejectsBadInput) {
   std::vector<std::vector<NodeId>> parent{
       {kNoNode, 2, 1}, {2, kNoNode, 0}, {1, 0, kNoNode}};
   EXPECT_THROW(make_oracle(dist, parent, {"x", true, {}, {}}), std::logic_error);
+  // Ragged parent / hops matrices: a short row past the first must be
+  // rejected before any row is read, not read out of bounds.
+  EXPECT_THROW(make_oracle({{0, 1}, {1, 0}}, {{kNoNode, 0}, {}},
+                           {"x", true, {}, {}}),
+               std::logic_error);
+  GraphBuilder gb(2, /*directed=*/false);
+  gb.add_edge(0, 1, 1);
+  const Graph g = std::move(gb).build();
+  EXPECT_THROW(make_oracle_from_distances(g, {{0, 1}, {1, 0}}, {{0, 1}, {}},
+                                          {"x", true, {}, {}}),
+               std::logic_error);
 }
 
 TEST(Oracle, CorruptParentRowInPooledSweepIsCatchable) {
