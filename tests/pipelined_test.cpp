@@ -391,5 +391,91 @@ TEST(Pipelined, MessageCongestionIsModest) {
   EXPECT_EQ(res.stats.max_link_congestion, 1u);
 }
 
+/// Every counter Algorithm 1 reports, plus an FNV-1a hash of the result
+/// matrices.  Pinned to the values of the scan-the-whole-list
+/// implementation so a change to list maintenance that drifts from the
+/// (kappa, d, x) order, the ck + pos schedule or the INSERT rules shows up
+/// even when distances stay correct.
+struct Golden {
+  std::uint64_t rounds, messages, message_bytes, max_list, max_per_source,
+      late_fires, total_sends, max_sends_per_source, settle_round, hash;
+
+  static Golden of(const KsspResult& r) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t x) {
+      for (int b = 0; b < 8; ++b, x >>= 8) {
+        h = (h ^ (x & 0xffU)) * 0x100000001b3ULL;
+      }
+    };
+    for (std::size_t i = 0; i < r.sources.size(); ++i) {
+      for (std::size_t v = 0; v < r.dist[i].size(); ++v) {
+        mix(static_cast<std::uint64_t>(r.dist[i][v]));
+        mix(r.hops[i][v]);
+        mix(r.parent[i][v]);
+      }
+    }
+    return {r.stats.rounds,         r.stats.total_messages,
+            r.stats.message_bytes,  r.max_list_size,
+            r.max_entries_per_source, r.late_fires,
+            r.total_sends,          r.max_sends_per_source,
+            r.settle_round,         h};
+  }
+};
+
+void expect_golden(const Graph& g, PipelinedParams p, ListPolicy policy,
+                   const Golden& want) {
+  SCOPED_TRACE(policy == ListPolicy::kLiteral ? "literal" : "dominance");
+  p.policy = policy;
+  const Golden got = Golden::of(pipelined_kssp(g, std::move(p)));
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.message_bytes, want.message_bytes);
+  EXPECT_EQ(got.max_list, want.max_list);
+  EXPECT_EQ(got.max_per_source, want.max_per_source);
+  EXPECT_EQ(got.late_fires, want.late_fires);
+  EXPECT_EQ(got.total_sends, want.total_sends);
+  EXPECT_EQ(got.max_sends_per_source, want.max_sends_per_source);
+  EXPECT_EQ(got.settle_round, want.settle_round);
+  EXPECT_EQ(got.hash, want.hash) << std::hex << got.hash;
+}
+
+PipelinedParams all_sources(const Graph& g, std::uint32_t h, Weight delta) {
+  PipelinedParams p;
+  for (NodeId v = 0; v < g.node_count(); ++v) p.sources.push_back(v);
+  p.h = h;
+  p.delta = delta;
+  return p;
+}
+
+TEST(PipelinedGolden, Grid16x16Seed2) {
+  // The perfbench grid-apsp input: APSP with h = n - 1.
+  const Graph g = graph::grid(16, 16, {0, 8, 0.0}, 2);
+  const PipelinedParams p =
+      all_sources(g, g.node_count() - 1, graph::max_finite_distance(g));
+  expect_golden(g, p, ListPolicy::kDominance, Golden{3136, 444394, 21330912, 615, 5, 24542, 118020, 21, 2433, 0x84c465e27124052aULL});
+  expect_golden(g, p, ListPolicy::kLiteral, Golden{2647, 495929, 23804592, 512, 2, 3235, 132223, 5, 2491, 0x84c465e27124052aULL});
+}
+
+TEST(PipelinedGolden, DirectedZeroHeavyErdosRenyi) {
+  // Directed zero-weight chains churn the list the most (entries move
+  // past their schedule and fire late).
+  const Graph g = graph::erdos_renyi(40, 0.1, {0, 3, 0.6}, 17, true);
+  const PipelinedParams p =
+      all_sources(g, 12, graph::max_finite_hop_distance(g, 12));
+  expect_golden(g, p, ListPolicy::kDominance, Golden{94, 18777, 901296, 83, 4, 111, 2112, 5, 51, 0x53074e89c412a52ULL});
+  expect_golden(g, p, ListPolicy::kLiteral, Golden{90, 28526, 1369248, 80, 2, 258, 3226, 4, 78, 0x53074e89c412a52ULL});
+}
+
+TEST(PipelinedGolden, LiteralSweepGraph) {
+  // The first LiteralPolicySweep input.
+  const Graph g = graph::erdos_renyi(20, 0.18, {0, 5, 0.3}, 70, true);
+  PipelinedParams p;
+  p.sources = {0, 3, 6, 9, 12};
+  p.h = 6;
+  p.delta = graph::max_finite_hop_distance(g, 6);
+  expect_golden(g, p, ListPolicy::kDominance, Golden{37, 1191, 57168, 11, 4, 1, 165, 4, 18, 0x2badd8cb81fceb45ULL});
+  expect_golden(g, p, ListPolicy::kLiteral, Golden{32, 1459, 70032, 10, 2, 11, 202, 3, 18, 0x2badd8cb81fceb45ULL});
+}
+
 }  // namespace
 }  // namespace dapsp::core
