@@ -36,19 +36,21 @@ struct SharedConfig {
   std::vector<std::int32_t> source_index;  // node -> index in sources, or -1
 };
 
-/// One list entry Z (Table II of the paper).
+constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
+
+/// One list entry Z (Table II of the paper), held in a node's slot pool.
 struct Entry {
-  Key key;                  // (d, l)
-  NodeId source = 0;        // x
-  NodeId parent = kNoNode;  // sender that delivered the underlying path
-  bool sp = false;          // flag-d*
-  std::uint64_t ck = 0;     // cached ceil(kappa); send round = ck + pos
+  Key key;                   // (d, l)
+  NodeId source = 0;         // x
+  std::uint32_t next = kNil;  // next slot for the same source in list order
+  std::uint64_t ck = 0;      // cached ceil(kappa); send round = ck + pos
   /// Schedule value (ck + pos) at the last firing; 0 = never fired.  An
   /// entry is due when its current schedule is <= the round and differs
   /// from this value: list churn can move an entry to a position whose
   /// schedule already passed, and the literal "fire on equality" rule would
   /// silently drop it (observed on directed zero-weight graphs).
   std::uint64_t fired_sched = 0;
+  bool sp = false;  // flag-d*
 };
 
 class PipelinedProtocol final : public Protocol {
@@ -60,6 +62,7 @@ class PipelinedProtocol final : public Protocol {
     best_l_.assign(k, 0);
     best_p_.assign(k, kNoNode);
     sends_per_source_.assign(k, 0);
+    head_.assign(k, kNil);
     // Incoming arc weights keyed by sender (directed graphs: a neighbor may
     // be connected only by an outgoing arc, in which case its messages do
     // not extend any path into this node).
@@ -85,17 +88,20 @@ class PipelinedProtocol final : public Protocol {
       z.source = self_;
       z.sp = true;
       z.ck = cfg_.kernel.ceil_kappa(z.key);
-      list_.push_back(z);
+      head_[si] = alloc(z);
+      order_.push_back(head_[si]);
     }
   }
 
   bool quiescent() const override {
-    if (list_.empty()) return true;
+    if (order_.empty()) return true;
     // Future work pending?  The last entry holds the max schedule.
-    if (list_.back().ck + list_.size() > last_round_seen_) return false;
+    if (pool_[order_.back()].ck + order_.size() > last_round_seen_) {
+      return false;
+    }
     // Past-due but unfired entries still owe a send.
-    for (std::size_t i = scan_floor_; i < list_.size(); ++i) {
-      if (list_[i].fired_sched != list_[i].ck + i + 1) return false;
+    for (std::size_t i = scan_floor_; i < order_.size(); ++i) {
+      if (at(i).fired_sched != at(i).ck + i + 1) return false;
     }
     return true;
   }
@@ -105,9 +111,9 @@ class PipelinedProtocol final : public Protocol {
   /// first unsettled entry at or past scan_floor_ is the next to act; if its
   /// schedule already passed -- list churn moved it -- it fires next round).
   Round next_send_round(Round now) const override {
-    for (std::size_t i = scan_floor_; i < list_.size(); ++i) {
-      const std::uint64_t sched = list_[i].ck + i + 1;
-      if (list_[i].fired_sched != sched) {
+    for (std::size_t i = scan_floor_; i < order_.size(); ++i) {
+      const std::uint64_t sched = at(i).ck + i + 1;
+      if (at(i).fired_sched != sched) {
         return sched <= now ? now + 1 : static_cast<Round>(sched);
       }
     }
@@ -140,10 +146,10 @@ class PipelinedProtocol final : public Protocol {
     // reached and not already fired at this exact schedule); scan_floor_
     // skips the settled part of the prefix and resets on list mutation.
     std::size_t i = scan_floor_;
-    while (i < list_.size()) {
-      const std::uint64_t sched = list_[i].ck + i + 1;
+    while (i < order_.size()) {
+      const std::uint64_t sched = at(i).ck + i + 1;
       if (sched > r) break;
-      if (list_[i].fired_sched != sched) {
+      if (at(i).fired_sched != sched) {
         if (sched < r) ++late_fires_;
         fire(ctx, i, sched);
         return;
@@ -153,15 +159,15 @@ class PipelinedProtocol final : public Protocol {
   }
 
   void fire(Context& ctx, std::size_t idx, std::uint64_t sched) {
-    Entry& z = list_[idx];
+    const std::uint32_t slot = order_[idx];
+    Entry& z = pool_[slot];
     z.fired_sched = sched;
-    const std::int32_t si = cfg_.source_index[z.source];
-    if (si >= 0) ++sends_per_source_[static_cast<std::size_t>(si)];
-    // Z.nu: entries for Z's source at or below Z.
-    std::int64_t nu = 0;
-    for (std::size_t i = 0; i <= idx; ++i) {
-      if (list_[i].source == z.source) ++nu;
-    }
+    const auto si = static_cast<std::size_t>(cfg_.source_index[z.source]);
+    ++sends_per_source_[si];
+    // Z.nu: entries for Z's source at or below Z, i.e. Z's rank on the
+    // source chain (which runs in list order).
+    std::int64_t nu = 1;
+    for (std::uint32_t s = head_[si]; s != slot; s = pool_[s].next) ++nu;
     ctx.broadcast(Message(kTagEntry, {static_cast<std::int64_t>(z.source),
                                       z.key.d, z.key.l, nu,
                                       z.sp ? 1 : 0}));
@@ -203,26 +209,22 @@ class PipelinedProtocol final : public Protocol {
       Entry z;
       z.key = pkeys_[pi];
       z.source = x;
-      z.parent = pd.from;
       z.ck = pck_[pi];
 
       const auto si = static_cast<std::size_t>(pd.sidx);
       if (d == best_d_[si] && l == best_l_[si] && pd.from < best_p_[si]) {
         // Step 9's parent tie-break: same (d, l), smaller sender id.  The
-        // key is identical to the current SP entry's, so update the parent
-        // in place instead of inserting a twin.
+        // key is identical to the current SP entry's, so only the recorded
+        // parent changes; no twin is inserted.
         best_p_[si] = pd.from;
         settle_round_ = ctx.round();
-        for (Entry& e : list_) {
-          if (e.source == x && e.sp) e.parent = pd.from;
-        }
         continue;
       }
       // An entry dominated by existing information (some entry with both
       // distance and hops no worse) can never improve any downstream h-hop
       // distance; dropping it is always delivery-safe and keeps duplicate
       // churn from evicting hop-efficient entries.
-      if (cfg_.policy == ListPolicy::kDominance && dominated(z)) continue;
+      if (cfg_.policy == ListPolicy::kDominance && dominated(z, si)) continue;
       const bool better =
           d < best_d_[si] || (d == best_d_[si] && l < best_l_[si]);
       if (better) {
@@ -231,11 +233,9 @@ class PipelinedProtocol final : public Protocol {
         best_p_[si] = pd.from;
         settle_round_ = ctx.round();
         z.sp = true;
-        const std::size_t at = insert_entry(z);
-        for (std::size_t i = 0; i < list_.size(); ++i) {
-          if (i != at && list_[i].source == x && list_[i].sp) {
-            list_[i].sp = false;
-          }
+        const std::uint32_t slot = insert_entry(z, si);
+        for (std::uint32_t s = head_[si]; s != kNil; s = pool_[s].next) {
+          if (s != slot) pool_[s].sp = false;
         }
       } else {
         // Step 13: insert the non-SP entry only if fewer than nu entries for
@@ -243,14 +243,13 @@ class PipelinedProtocol final : public Protocol {
         // are load-bearing for Lemma II.6's position argument).  The literal
         // policy compares with strict <, as printed in the paper.
         std::uint64_t gate_count = 0;
-        for (const Entry& e : list_) {
-          if (e.source != x) continue;
-          const int c = cfg_.kernel.compare(e.key, z.key);
+        for (std::uint32_t s = head_[si]; s != kNil; s = pool_[s].next) {
+          const int c = cfg_.kernel.compare(pool_[s].key, z.key);
           if (c < 0 || (c == 0 && cfg_.policy == ListPolicy::kDominance)) {
             ++gate_count;
           }
         }
-        if (gate_count < nu) insert_entry(z);
+        if (gate_count < nu) insert_entry(z, si);
       }
     }
   }
@@ -264,16 +263,54 @@ class PipelinedProtocol final : public Protocol {
     return it->second;
   }
 
-  /// True if some listed entry for z.source matches or beats z in both
-  /// distance and hops.
-  bool dominated(const Entry& z) const {
-    return std::any_of(list_.begin(), list_.end(), [&](const Entry& e) {
-      return e.source == z.source && e.key.d <= z.key.d && e.key.l <= z.key.l;
-    });
+  const Entry& at(std::size_t pos) const { return pool_[order_[pos]]; }
+
+  /// True if list slot a sorts before slot b in (kappa, d, x) order.
+  bool before(std::uint32_t a, std::uint32_t b) const {
+    return list_order(pool_[a].key, pool_[a].source, pool_[b].key,
+                      pool_[b].source, cfg_.kernel) < 0;
   }
 
-  /// INSERT procedure; returns the index Z landed at (stable under the
-  /// removal step, which only erases above it).
+  /// First list position whose entry does not sort before slot's.
+  std::vector<std::uint32_t>::iterator lower_bound(std::uint32_t slot) {
+    return std::lower_bound(
+        order_.begin(), order_.end(), slot,
+        [this](std::uint32_t a, std::uint32_t b) { return before(a, b); });
+  }
+
+  /// True if some listed entry for source index si matches or beats z in
+  /// both distance and hops.
+  bool dominated(const Entry& z, std::size_t si) const {
+    for (std::uint32_t s = head_[si]; s != kNil; s = pool_[s].next) {
+      if (pool_[s].key.d <= z.key.d && pool_[s].key.l <= z.key.l) return true;
+    }
+    return false;
+  }
+
+  std::uint32_t alloc(const Entry& z) {
+    if (free_.empty()) {
+      pool_.push_back(z);
+      return static_cast<std::uint32_t>(pool_.size() - 1);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    pool_[slot] = z;
+    return slot;
+  }
+
+  /// Removes slot from the list; prev is its predecessor on the source
+  /// chain (kNil if slot is the chain head).
+  void erase_entry(std::size_t si, std::uint32_t prev, std::uint32_t slot) {
+    (prev == kNil ? head_[si] : pool_[prev].next) = pool_[slot].next;
+    // slot lies in the run of entries sorting equal to it (only the literal
+    // policy admits same-key twins).
+    auto it = lower_bound(slot);
+    while (*it != slot) ++it;
+    order_.erase(it);
+    free_.push_back(slot);
+  }
+
+  /// INSERT procedure for an entry of source index si; returns Z's slot.
   ///
   /// Deviation from the conference listing (documented in DESIGN.md): the
   /// removal step drops entries for x that Z *dominates* (distance and hops
@@ -282,43 +319,50 @@ class PipelinedProtocol final : public Protocol {
   /// fewer-hops path is the only way some h-hop shortest distance reaches a
   /// later node; dominance-based removal is delivery-safe by construction
   /// and the Lemma II.14 round bound is asserted by tests/benches instead.
-  std::size_t insert_entry(const Entry& z) {
-    // Position by (kappa, d, x); equal keys keep insertion order stable.
-    auto it = std::lower_bound(
-        list_.begin(), list_.end(), z, [&](const Entry& a, const Entry& b) {
-          return list_order(a.key, a.source, b.key, b.source, cfg_.kernel) < 0;
-        });
-    it = list_.insert(it, z);
-    const auto pos = static_cast<std::size_t>(it - list_.begin());
-    scan_floor_ = std::min(scan_floor_, pos);
+  std::uint32_t insert_entry(const Entry& z, std::size_t si) {
+    const std::uint32_t slot = alloc(z);
+    // Position by (kappa, d, x); Z lands before entries that sort equal.
+    const auto it = lower_bound(slot);
+    scan_floor_ = std::min(
+        scan_floor_, static_cast<std::size_t>(it - order_.begin()));
+    order_.insert(it, slot);
 
-    if (cfg_.policy == ListPolicy::kDominance) {
-      // Remove every non-SP entry for x that Z dominates (all sit at or
-      // above Z's key, so positions below Z are untouched).
-      for (std::size_t i = list_.size(); i-- > pos + 1;) {
-        if (list_[i].source == z.source && z.key.d <= list_[i].key.d &&
-            z.key.l <= list_[i].key.l && !list_[i].sp) {
-          list_.erase(list_.begin() + static_cast<std::ptrdiff_t>(i));
-        }
+    // Link Z into its source chain after the entries listed below it.
+    std::uint32_t prev = kNil;
+    for (std::uint32_t s = head_[si]; s != kNil && before(s, slot);
+         s = pool_[s].next) {
+      prev = s;
+    }
+    std::uint32_t& link = prev == kNil ? head_[si] : pool_[prev].next;
+    pool_[slot].next = link;
+    link = slot;
+
+    // The chain past Z holds exactly the entries for x listed above it.
+    prev = slot;
+    for (std::uint32_t s = pool_[slot].next; s != kNil;) {
+      const Entry& e = pool_[s];
+      const std::uint32_t next = e.next;
+      if (e.sp) {
+        prev = s;
+      } else if (cfg_.policy == ListPolicy::kLiteral) {
+        // Literal INSERT steps 2-4: drop the closest non-SP entry for x
+        // above Z, whatever it holds.
+        erase_entry(si, prev, s);
+        break;
+      } else if (z.key.d <= e.key.d && z.key.l <= e.key.l) {
+        // Remove every non-SP entry for x that Z dominates.
+        erase_entry(si, prev, s);
+      } else {
+        prev = s;
       }
-    } else {
-      // Literal INSERT steps 2-4: drop the closest non-SP entry for x above
-      // Z, whatever it holds.
-      for (std::size_t i = pos + 1; i < list_.size(); ++i) {
-        if (list_[i].source == z.source && !list_[i].sp) {
-          list_.erase(list_.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
+      s = next;
     }
 
-    max_list_ = std::max(max_list_, static_cast<std::uint64_t>(list_.size()));
+    max_list_ = std::max(max_list_, static_cast<std::uint64_t>(order_.size()));
     std::uint64_t cnt = 0;
-    for (const Entry& e : list_) {
-      if (e.source == z.source) ++cnt;
-    }
+    for (std::uint32_t s = head_[si]; s != kNil; s = pool_[s].next) ++cnt;
     max_per_source_ = std::max(max_per_source_, cnt);
-    return pos;
+    return slot;
   }
 
   /// One inbox envelope that survived the cheap filters, staged so the
@@ -333,7 +377,14 @@ class PipelinedProtocol final : public Protocol {
 
   const SharedConfig& cfg_;
   NodeId self_;
-  std::vector<Entry> list_;
+  // The list: entries live in pool_ slots (freed slots are recycled via
+  // free_), order_ holds the slots sorted by (kappa, d, x), and head_[si]
+  // starts the chain of source si's slots, linked by Entry::next in list
+  // order.
+  std::vector<Entry> pool_;
+  std::vector<std::uint32_t> free_;
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> head_;
   std::vector<Pending> pending_;        // per-round scratch, grow-only
   std::vector<Key> pkeys_;              // keys of pending_ (same order)
   std::vector<std::uint64_t> pck_;      // batched ceil_kappa of pkeys_

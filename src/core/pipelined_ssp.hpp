@@ -10,6 +10,17 @@
 // guarantee every entry is added before round ceil(kappa + pos)
 // (Invariant 1).  All h-hop shortest distances from the k sources arrive
 // within 2*sqrt(h*k*Delta) + h + k rounds (Theorem I.1).
+//
+// List representation.  Entries live in a per-node slot pool; the list
+// itself is a vector of 32-bit slot ids in (kappa, d, x) order, so an insert
+// shifts 4-byte ids and a list position is an index into that vector.  Each
+// source's slots are also linked, in the same order, into a chain that
+// starts at a per-source head.  Every per-source step (dominance check,
+// Step-13 gate, SP demotion, INSERT's removals, the per-source count) walks
+// that chain, which Invariant 2 keeps short, instead of the whole list.
+// nu is an entry's rank on its chain, the same count as "entries for x at
+// or below Z" because the chain follows list order; the schedule
+// ceil(kappa) + pos is read off the order vector exactly as before.
 #pragma once
 
 #include <cstdint>

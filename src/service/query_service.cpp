@@ -410,6 +410,11 @@ QueryResult QueryService::execute(const OracleSnapshot& snap,
       if (cache_) cache_->insert(key, snap.epoch(), r.path);
       break;
     }
+    case QueryType::kKPaths:
+    case QueryType::kRoute:
+    case QueryType::kReport:
+    case QueryType::kBetweenness:
+      break;  // unreachable: analytics types returned above
   }
   return r;
 }

@@ -52,7 +52,7 @@ struct Query {
   // Analytics parameters (ignored by the point-lookup types).
   std::uint32_t k = 1;        ///< kKPaths: number of paths requested
   std::uint32_t samples = 0;  ///< kBetweenness: source sample (0 = all)
-  query::RouteConstraints constraints;  ///< kRoute
+  query::RouteConstraints constraints{};  ///< kRoute
 
   friend bool operator==(const Query&, const Query&) = default;
 };
