@@ -22,7 +22,6 @@
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
-#include "serve/sharded_oracle.hpp"
 #include "serve/snapshot_manager.hpp"
 #include "serve/wire.hpp"
 #include "service/query_service.hpp"
@@ -289,41 +288,36 @@ service::OracleBuildOptions make_build_options(const Options& opt) {
   return b;
 }
 
-/// Builds the oracle snapshot + query service for serve/query from the
-/// options.  --shards > 1 partitions the closure into vertex-range shards
-/// (bit-identical answers either way); the human-readable header is
+/// Builds the oracle + query service for serve/query from the options.
+/// --shards splits the closure into that many source-row shards
+/// (bit-identical answers for every count); the human-readable header is
 /// suppressed by --quiet and for json (machine-readable stream) and binary
 /// (framed stream) output.
 service::QueryService make_service(const Options& opt, const Graph& g,
                                    std::ostream& out, double* build_ms) {
-  const service::OracleBuildOptions b = make_build_options(opt);
   const auto t0 = std::chrono::steady_clock::now();
-  std::shared_ptr<service::OracleSnapshot> snap;
-  if (opt.shards <= 1) {
-    snap = service::make_flat_snapshot(service::build_oracle(g, b));
-  } else {
-    snap = serve::build_sharded_oracle(g, b, opt.shards);
-  }
+  service::DistanceOracle oracle =
+      service::build_oracle(g, make_build_options(opt), opt.shards);
   *build_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
   if (!opt.quiet &&
       (opt.format == Format::kTable || opt.format == Format::kCsv)) {
-    out << "oracle: n=" << snap->node_count() << " solver=["
-        << snap->solver_label() << "]"
-        << " exact=" << (snap->exact() ? "yes" : "no")
-        << " paths=" << (snap->has_paths() ? "yes" : "no")
-        << " shards=" << snap->shard_count()
-        << " mem=" << (snap->memory_bytes() / 1024) << "KiB"
+    out << "oracle: n=" << oracle.node_count() << " solver=["
+        << oracle.solver_label() << "]"
+        << " exact=" << (oracle.exact() ? "yes" : "no")
+        << " paths=" << (oracle.has_paths() ? "yes" : "no")
+        << " shards=" << oracle.shard_count()
+        << " mem=" << (oracle.memory_bytes() / 1024) << "KiB"
         << " build=" << std::fixed << std::setprecision(1) << *build_ms
-        << "ms rounds=" << snap->build_stats().rounds << "\n";
+        << "ms rounds=" << oracle.build_stats().rounds << "\n";
     out.unsetf(std::ios::fixed);
   }
   service::QueryServiceConfig cfg;
   cfg.threads = opt.threads;
   cfg.path_cache_capacity = opt.cache_capacity;
   cfg.max_batch = opt.max_batch;
-  return service::QueryService(std::move(snap), cfg);
+  return service::QueryService(std::move(oracle), cfg);
 }
 
 int cmd_serve(const Options& opt, const Graph& g, std::ostream& out) {
@@ -337,8 +331,7 @@ int cmd_serve(const Options& opt, const Graph& g, std::ostream& out) {
   // The manager gives the session's "rebuild" directive a real hot swap:
   // same graph + build options, fresh snapshot, published atomically under
   // whatever traffic the serve loop is carrying.
-  serve::SnapshotManager manager(svc, g, make_build_options(opt),
-                                 std::max<std::size_t>(opt.shards, 1));
+  serve::SnapshotManager manager(svc, g, make_build_options(opt), opt.shards);
   service::ServeOptions serve_opts;
   serve_opts.json = opt.format == Format::kJson;
   serve_opts.on_rebuild = [&manager] { return manager.rebuild_now(); };

@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "query/types.hpp"
-#include "service/snapshot.hpp"
+#include "service/oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dapsp::query {
@@ -51,30 +51,30 @@ class Analytics {
 
   /// Up to k shortest loopless paths source->target in route_less order.
   /// Requires snap.has_paths().  Empty when target is unreachable.
-  std::vector<Route> k_shortest(const service::OracleSnapshot& snap, NodeId u,
+  std::vector<Route> k_shortest(const service::DistanceOracle& snap, NodeId u,
                                 NodeId v, std::uint32_t k) const;
 
   /// Canonical constrained shortest path, or nullopt when infeasible.
   /// Requires snap.has_paths().
-  std::optional<Route> constrained_route(const service::OracleSnapshot& snap,
+  std::optional<Route> constrained_route(const service::DistanceOracle& snap,
                                          NodeId u, NodeId v,
                                          const RouteConstraints& c) const;
 
   /// Whole-graph distance report; row scans run on `pool`.  Requires
   /// snap.exact().
-  GraphReport report(const service::OracleSnapshot& snap,
+  GraphReport report(const service::DistanceOracle& snap,
                      util::ThreadPool& pool) const;
 
   /// Betweenness centrality over betweenness_sources(n, samples).  Sources
   /// are processed in fixed-size chunks whose partial scores are reduced in
   /// chunk order, so the result is bit-identical for every thread count.
   /// Requires snap.exact() (the tight-arc test needs exact distances).
-  std::vector<double> betweenness(const service::OracleSnapshot& snap,
+  std::vector<double> betweenness(const service::DistanceOracle& snap,
                                   std::uint32_t samples,
                                   util::ThreadPool& pool) const;
 
  private:
-  std::optional<Route> constrained_search(const service::OracleSnapshot& snap,
+  std::optional<Route> constrained_search(const service::DistanceOracle& snap,
                                           NodeId u, NodeId v,
                                           const RouteConstraints& c) const;
 

@@ -1,90 +1,23 @@
-// Vertex-range-sharded distance oracle: the serving-tier representation of
-// the APSP closure.
-//
-// The paper's algorithms are per-node sharded by construction -- every node
-// ends the run holding its own source row of distances and parents.  The
-// flat DistanceOracle densifies that into one n x n allocation; ShardedOracle
-// keeps the row partition: shard i owns the contiguous source rows
-// [i*ceil(n/S), min(n, (i+1)*ceil(n/S))) as its own allocations.  Queries
-// route by integer division (no per-query search), so dist/next_hop stay
-// O(1) and answer bit-identically to the flat oracle for every shard count
-// (differential-tested across S in {1,2,4,8} for all five solvers).
-//
-// Sharding buys the serving tier three things:
-//   * rebuild locality -- shards can be constructed independently (the
-//     reference sweep writes each shard row straight from its source's
-//     Dijkstra run without ever materializing the flat matrix);
-//   * allocation granularity -- S allocations of ~n^2/S bytes instead of one
-//     n^2 block, the shape a NUMA-aware or multi-process tier needs;
-//   * occupancy observability -- per-shard row ranges and byte counts are
-//     reported through ServiceStats ("shards" in the stats JSONL).
+// Former names of the row-sharded closure, kept only for the perfbench
+// harness (perfbench/src/workloads.cpp).  The closure is
+// service::DistanceOracle (service/oracle.hpp), whose shard count is the
+// last argument of service::build_oracle; delete this header once
+// perfbench spells that directly.
 #pragma once
 
 #include <memory>
-#include <vector>
 
-#include "service/snapshot.hpp"
+#include "service/oracle.hpp"
 
 namespace dapsp::serve {
 
-using service::NodeId;
-using service::ShardInfo;
-using service::Weight;
+using ShardedOracle = service::DistanceOracle;
 
-class ShardedOracle final : public service::OracleSnapshot {
- public:
-  /// Partitions a finished flat oracle into `shards` vertex-range shards by
-  /// copying rows (the oracle's solver/exactness/stats provenance carries
-  /// over).  `shards` is clamped to [1, n].
-  static std::shared_ptr<ShardedOracle> from_flat(
-      const service::DistanceOracle& oracle, std::size_t shards);
-
-  NodeId node_count() const noexcept override { return n_; }
-  bool has_paths() const noexcept override { return has_paths_; }
-  const service::OracleMeta& meta() const noexcept override { return meta_; }
-  std::size_t memory_bytes() const noexcept override;
-
-  Weight dist(NodeId u, NodeId v) const noexcept override {
-    const Shard& s = shards_[u / rows_per_shard_];
-    return s.dist[static_cast<std::size_t>(u - s.row_begin) * n_ + v];
-  }
-  NodeId next_hop(NodeId u, NodeId v) const noexcept override {
-    if (!has_paths_) return graph::kNoNode;
-    const Shard& s = shards_[u / rows_per_shard_];
-    return s.next[static_cast<std::size_t>(u - s.row_begin) * n_ + v];
-  }
-
-  std::size_t shard_count() const noexcept override { return shards_.size(); }
-  ShardInfo shard_info(std::size_t shard) const noexcept override;
-
- private:
-  friend std::shared_ptr<ShardedOracle> build_sharded_oracle(
-      const graph::Graph& g, const service::OracleBuildOptions& opts,
-      std::size_t shards);
-
-  struct Shard {
-    NodeId row_begin = 0;
-    NodeId row_end = 0;
-    std::vector<Weight> dist;  // row-major [(u - row_begin)*n + v]
-    std::vector<NodeId> next;  // empty for distance-only oracles
-  };
-
-  ShardedOracle(NodeId n, std::size_t shards);
-
-  NodeId n_ = 0;
-  NodeId rows_per_shard_ = 1;
-  bool has_paths_ = false;
-  service::OracleMeta meta_;
-  std::vector<Shard> shards_;
-};
-
-/// Enum-dispatched sharded factory, mirroring service::build_oracle.  The
-/// kReference solver runs service::reference_sweep straight into the shard
-/// rows (no flat n x n matrix ever exists); the CONGEST solvers produce the
-/// full closure and are partitioned row-by-row.  Throws like build_oracle
-/// (empty graph, fault partition).
-std::shared_ptr<ShardedOracle> build_sharded_oracle(
+inline std::shared_ptr<ShardedOracle> build_sharded_oracle(
     const graph::Graph& g, const service::OracleBuildOptions& opts,
-    std::size_t shards);
+    std::size_t shards) {
+  return std::make_shared<ShardedOracle>(
+      service::build_oracle(g, opts, shards));
+}
 
 }  // namespace dapsp::serve

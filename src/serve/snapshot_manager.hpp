@@ -2,13 +2,14 @@
 //
 // A SnapshotManager owns one worker thread and a latest-wins rebuild slot.
 // `rebuild_async` (or the blocking `rebuild_now`) constructs a replacement
-// ShardedOracle on the worker from the manager's current graph + build
-// options and publishes it through QueryService::swap_snapshot -- readers
-// never block; queries in flight when the swap lands finish on the snapshot
-// they started with, and the old snapshot is destroyed when its last
-// in-flight reference drops (epoch/shared_ptr retirement).  Rebuild
-// durations are recorded into the service's rebuild-latency histogram and
-// surface in the stats JSONL next to per-shard occupancy.
+// DistanceOracle on the worker from the manager's current graph, build
+// options and shard count, and publishes it through
+// QueryService::swap_snapshot -- readers never block; queries in flight
+// when the swap lands finish on the snapshot they started with, and the
+// old snapshot is destroyed when its last in-flight reference drops
+// (epoch/shared_ptr retirement).  Rebuild durations are recorded into the
+// service's rebuild-latency histogram and surface in the stats JSONL next
+// to per-shard occupancy.
 //
 // `set_graph` swaps the input the next rebuild runs on (e.g. re-weighted
 // edges), which is how the sustained-load bench alternates snapshots under

@@ -46,13 +46,40 @@ Solver parse_solver(const std::string& word) {
       "' (pipelined|blocker|scaled|approx|reference)");
 }
 
+DistanceOracle::DistanceOracle(NodeId n, std::size_t shards, OracleMeta meta)
+    : n_(n), meta_(std::move(meta)) {
+  const std::size_t s =
+      std::clamp<std::size_t>(shards, 1, static_cast<std::size_t>(n));
+  rows_per_shard_ = static_cast<NodeId>((n + s - 1) / s);
+  // ceil(n / rows_per_shard) shards cover [0, n); the last may be short.
+  shards_.resize((n + rows_per_shard_ - 1) / rows_per_shard_);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i].row_begin = static_cast<NodeId>(i * rows_per_shard_);
+    shards_[i].row_end = static_cast<NodeId>(
+        std::min<std::size_t>(n, (i + 1) * rows_per_shard_));
+  }
+}
+
 std::size_t DistanceOracle::memory_bytes() const noexcept {
-  return dist_.capacity() * sizeof(Weight) + next_.capacity() * sizeof(NodeId);
+  std::size_t total = 0;
+  for (const Shard& s : shards_) total += s.bytes();
+  return total;
+}
+
+ShardInfo DistanceOracle::shard_info(std::size_t shard) const noexcept {
+  const Shard& s = shards_[shard];
+  return {s.row_begin, s.row_end, s.bytes()};
+}
+
+std::vector<ShardInfo> DistanceOracle::shard_layout() const {
+  std::vector<ShardInfo> out(shards_.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = shard_info(i);
+  return out;
 }
 
 std::optional<std::vector<NodeId>> DistanceOracle::path(NodeId u,
                                                         NodeId v) const {
-  if (u >= n_ || v >= n_ || next_.empty()) return std::nullopt;
+  if (u >= n_ || v >= n_ || !has_paths()) return std::nullopt;
   if (u == v) return std::vector<NodeId>{u};
   if (dist(u, v) == kInfDist) return std::nullopt;
   std::vector<NodeId> out;
@@ -81,12 +108,15 @@ void check_square(const std::vector<std::vector<Weight>>& dist) {
   }
 }
 
-std::vector<Weight> flatten(const std::vector<std::vector<Weight>>& dist) {
-  const std::size_t n = dist.size();
-  std::vector<Weight> flat;
-  flat.reserve(n * n);
-  for (const auto& row : dist) flat.insert(flat.end(), row.begin(), row.end());
-  return flat;
+/// Rows [begin, end) of a square matrix, concatenated: one shard's table.
+std::vector<Weight> copy_rows(const std::vector<std::vector<Weight>>& dist,
+                              NodeId begin, NodeId end) {
+  std::vector<Weight> out;
+  out.reserve((end - begin) * dist.size());
+  for (NodeId u = begin; u < end; ++u) {
+    out.insert(out.end(), dist[u].begin(), dist[u].end());
+  }
+  return out;
 }
 
 /// Fault-plan safety net for engine-backed builds: when the process-global
@@ -126,8 +156,34 @@ void check_fault_partition(const Graph& g, const DistanceOracle& o) {
   }
 }
 
+/// The reference build: runs seq::dijkstra from every source on
+/// util::ThreadPool::global() and writes source s's distances to
+/// dist_rows[s][0, n) and its first hops to next_rows[s][0, n), straight
+/// into the oracle's shards.  Returns the meta of a reference oracle, with
+/// the sweep's wall seconds and arcs x sources.  A throw in any source's
+/// work (a corrupt parent chain) propagates once the pool has drained.
+OracleMeta reference_sweep(const Graph& g, std::span<Weight* const> dist_rows,
+                           std::span<NodeId* const> next_rows) {
+  const NodeId n = g.node_count();
+  const auto t0 = std::chrono::steady_clock::now();
+  util::ThreadPool::global().parallel_for(n, [&](std::size_t src) {
+    const NodeId s = static_cast<NodeId>(src);
+    const seq::SsspResult r = seq::dijkstra(g, s);
+    std::copy(r.dist.begin(), r.dist.end(), dist_rows[s]);
+    std::fill_n(next_rows[s], n, kNoNode);
+    next_hops_from_parents(s, n, r.dist, r.parent, next_rows[s]);
+  });
+  OracleMeta meta{kReferenceLabel, true, {}, {}};
+  meta.build_s = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+  meta.build_arcs = static_cast<std::uint64_t>(g.edge_count()) * n;
+  return meta;
+}
+
 DistanceOracle build_oracle_impl(const Graph& g,
-                                 const OracleBuildOptions& opts);
+                                 const OracleBuildOptions& opts,
+                                 std::size_t shards);
 
 /// Installs a work-item-recording trace recorder as the process-global
 /// recorder for the duration of one oracle build, so the engines the solver
@@ -187,37 +243,10 @@ void next_hops_from_parents(NodeId s, NodeId n,
   }
 }
 
-OracleMeta reference_sweep(const Graph& g, std::span<Weight* const> dist_rows,
-                           std::span<NodeId* const> next_rows) {
-  const NodeId n = g.node_count();
-  util::check(dist_rows.size() == n && next_rows.size() == n,
-              "reference_sweep: need one dist and one next row per source");
-  const auto t0 = std::chrono::steady_clock::now();
-  util::ThreadPool::global().parallel_for(n, [&](std::size_t src) {
-    const NodeId s = static_cast<NodeId>(src);
-    const seq::SsspResult r = seq::dijkstra(g, s);
-    std::copy(r.dist.begin(), r.dist.end(), dist_rows[s]);
-    std::fill_n(next_rows[s], n, kNoNode);
-    next_hops_from_parents(s, n, r.dist, r.parent, next_rows[s]);
-  });
-  OracleMeta meta{kReferenceLabel, true, {}, {}};
-  meta.build_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-  meta.build_arcs = static_cast<std::uint64_t>(g.edge_count()) * n;
-  return meta;
-}
-
 DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
                            const std::vector<std::vector<NodeId>>& parent,
-                           OracleMeta meta) {
+                           OracleMeta meta, std::size_t shards) {
   check_square(dist);
-  const NodeId n = static_cast<NodeId>(dist.size());
-  DistanceOracle o;
-  o.n_ = n;
-  o.exact_ = meta.exact;
-  o.meta_ = std::move(meta);
-  o.dist_ = flatten(dist);
   if (!parent.empty()) {
     util::check(parent.size() == dist.size(),
                 "make_oracle: parent matrix shape mismatch");
@@ -225,10 +254,16 @@ DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
       util::check(row.size() == dist.size(),
                   "make_oracle: parent matrix shape mismatch");
     }
-    o.next_.assign(static_cast<std::size_t>(n) * n, kNoNode);
-    for (NodeId s = 0; s < n; ++s) {
+  }
+  const NodeId n = static_cast<NodeId>(dist.size());
+  DistanceOracle o(n, shards, std::move(meta));
+  for (auto& sh : o.shards_) {
+    sh.dist = copy_rows(dist, sh.row_begin, sh.row_end);
+    if (parent.empty()) continue;
+    sh.next.assign(sh.dist.size(), kNoNode);
+    for (NodeId s = sh.row_begin; s < sh.row_end; ++s) {
       next_hops_from_parents(s, n, dist[s], parent[s],
-                             o.next_.data() + o.flat(s, 0));
+                             sh.next.data() + sh.cell(s, 0, n));
     }
   }
   return o;
@@ -236,7 +271,8 @@ DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
 
 DistanceOracle make_oracle_from_distances(
     const Graph& g, const std::vector<std::vector<Weight>>& dist,
-    const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta) {
+    const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta,
+    std::size_t shards) {
   check_square(dist);
   util::check(g.node_count() == dist.size(),
               "make_oracle_from_distances: matrix does not match graph");
@@ -247,56 +283,63 @@ DistanceOracle make_oracle_from_distances(
                 "make_oracle_from_distances: hops matrix shape mismatch");
   }
   const NodeId n = static_cast<NodeId>(dist.size());
-  DistanceOracle o;
-  o.n_ = n;
-  o.exact_ = meta.exact;
-  o.meta_ = std::move(meta);
-  o.dist_ = flatten(dist);
-  o.next_.assign(static_cast<std::size_t>(n) * n, kNoNode);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (u == v || dist[u][v] == kInfDist) continue;
-      NodeId best = kNoNode;
-      std::uint32_t best_h = 0;
-      for (const auto& e : g.out_edges(u)) {
-        const Weight dw = dist[e.to][v];
-        if (dw == kInfDist || e.weight + dw != dist[u][v]) continue;
-        const std::uint32_t hw = hops[e.to][v];
-        if (best == kNoNode || hw < best_h || (hw == best_h && e.to < best)) {
-          best = e.to;
-          best_h = hw;
+  DistanceOracle o(n, shards, std::move(meta));
+  for (auto& sh : o.shards_) {
+    sh.dist = copy_rows(dist, sh.row_begin, sh.row_end);
+    sh.next.assign(sh.dist.size(), kNoNode);
+    for (NodeId u = sh.row_begin; u < sh.row_end; ++u) {
+      for (NodeId v = 0; v < n; ++v) {
+        if (u == v || dist[u][v] == kInfDist) continue;
+        NodeId best = kNoNode;
+        std::uint32_t best_h = 0;
+        for (const auto& e : g.out_edges(u)) {
+          const Weight dw = dist[e.to][v];
+          if (dw == kInfDist || e.weight + dw != dist[u][v]) continue;
+          const std::uint32_t hw = hops[e.to][v];
+          if (best == kNoNode || hw < best_h ||
+              (hw == best_h && e.to < best)) {
+            best = e.to;
+            best_h = hw;
+          }
         }
+        util::check(best != kNoNode,
+                    "make_oracle_from_distances: no edge realizes dist(u,v)");
+        sh.next[sh.cell(u, v, n)] = best;
       }
-      util::check(best != kNoNode,
-                  "make_oracle_from_distances: no edge realizes dist(u,v)");
-      o.next_[o.flat(u, v)] = best;
     }
   }
   return o;
 }
 
-DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts) {
+DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts,
+                            std::size_t shards) {
   util::check(g.node_count() > 0, "build_oracle: empty graph");
   // kReference never touches the engine: no fault plan can have bent it,
   // and there is no round structure for the profiler to observe.  The
-  // sweep writes its rows straight into the oracle's flat tables.
+  // sweep writes its rows straight into the oracle's shards.
   if (opts.solver == Solver::kReference) {
     const NodeId n = g.node_count();
-    DistanceOracle o;
-    o.n_ = n;
-    o.dist_.resize(static_cast<std::size_t>(n) * n);
-    o.next_.resize(static_cast<std::size_t>(n) * n);
-    std::vector<Weight*> dist_rows(n);
-    std::vector<NodeId*> next_rows(n);
-    for (NodeId s = 0; s < n; ++s) {
-      dist_rows[s] = o.dist_.data() + o.flat(s, 0);
-      next_rows[s] = o.next_.data() + o.flat(s, 0);
+    DistanceOracle o(n, shards, {});
+    std::vector<Weight*> dist_rows;
+    std::vector<NodeId*> next_rows;
+    dist_rows.reserve(n);
+    next_rows.reserve(n);
+    for (auto& sh : o.shards_) {
+      const std::size_t cells =
+          static_cast<std::size_t>(sh.row_end - sh.row_begin) * n;
+      sh.dist.resize(cells);
+      sh.next.resize(cells);
+      for (NodeId s = sh.row_begin; s < sh.row_end; ++s) {
+        dist_rows.push_back(sh.dist.data() + sh.cell(s, 0, n));
+        next_rows.push_back(sh.next.data() + sh.cell(s, 0, n));
+      }
     }
     o.meta_ = reference_sweep(g, dist_rows, next_rows);
     return o;
   }
   const ScopedBuildRecorder profile(opts.critpath);
-  DistanceOracle o = build_oracle_impl(g, opts);
+  DistanceOracle o = build_oracle_impl(g, opts, shards);
+  // Checked on the finished shards, exactly as they will be served.
   check_fault_partition(g, o);
   if (profile.recorder() != nullptr) {
     o.meta_.critpath =
@@ -308,7 +351,8 @@ DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts) {
 namespace {
 
 DistanceOracle build_oracle_impl(const Graph& g,
-                                 const OracleBuildOptions& opts) {
+                                 const OracleBuildOptions& opts,
+                                 std::size_t shards) {
   const NodeId n = g.node_count();
   switch (opts.solver) {
     case Solver::kPipelined: {
@@ -316,7 +360,8 @@ DistanceOracle build_oracle_impl(const Graph& g,
       auto res = core::pipelined_apsp(g, delta);
       return make_oracle(res.dist, res.parent,
                          {"pipelined APSP (Algorithm 1, Thm I.1 ii)", true,
-                          res.stats, {}});
+                          res.stats, {}},
+                         shards);
     }
     case Solver::kBlocker: {
       core::BlockerApspParams p;
@@ -325,7 +370,8 @@ DistanceOracle build_oracle_impl(const Graph& g,
       return make_oracle(res.dist, res.parent,
                          {"blocker APSP (Algorithm 3, h=" +
                               std::to_string(res.h) + ")",
-                          true, res.stats, {}});
+                          true, res.stats, {}},
+                         shards);
     }
     case Solver::kScaled: {
       core::ScaledApspParams p;
@@ -334,7 +380,8 @@ DistanceOracle build_oracle_impl(const Graph& g,
       auto res = core::scaled_hhop_apsp(g, p);
       return make_oracle_from_distances(
           g, res.dist, res.hops,
-          {"scaled per-source APSP (Sec. II-C)", true, res.stats, {}});
+          {"scaled per-source APSP (Sec. II-C)", true, res.stats, {}},
+          shards);
     }
     case Solver::kApprox: {
       core::ApproxApspParams p;
@@ -343,7 +390,8 @@ DistanceOracle build_oracle_impl(const Graph& g,
       std::ostringstream label;
       label << "approx APSP (Thm I.5, eps=" << opts.eps << ", " << res.scales
             << " scales); distance-only";
-      return make_oracle(res.dist, {}, {label.str(), false, res.stats, {}});
+      return make_oracle(res.dist, {}, {label.str(), false, res.stats, {}},
+                         shards);
     }
     case Solver::kReference:
       break;  // build_oracle fills the reference tables itself

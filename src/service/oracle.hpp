@@ -1,25 +1,45 @@
 // Immutable in-memory distance oracle built from a finished APSP run.
 //
-// The paper's algorithms end with every node holding per-source distances
-// and last-edge (parent) pointers; until now the library printed those and
-// threw them away.  `DistanceOracle` is the consumer-facing half: it
-// flattens a full n-source run into a row-major distance matrix plus a
-// next-hop table and answers dist / next-hop / full-path queries in O(1) /
-// O(1) / O(path length) with no further graph traversal.  Oracles are
-// immutable after construction, so any number of threads may query one
-// concurrently without synchronization (the query service layers caching
-// and metrics on top, see service/query_service.hpp).
+// The paper's algorithms end with every node holding its own source row of
+// distances and last-edge (parent) pointers -- the closure is row-sharded by
+// construction.  `DistanceOracle` keeps that partition: it holds the
+// distance and next-hop tables as S contiguous source-row shards, shard i
+// owning rows [i*ceil(n/S), min(n, (i+1)*ceil(n/S))) as its own
+// allocations, and S = 1 is the flat n x n table.  dist / next-hop / full
+// path queries cost O(1) / O(1) / O(path length) with no graph traversal:
+// a query routes to its shard by one integer division, so answers are
+// bit-identical for every shard count (differential-tested across S in
+// {1, 2, 4, 8} for all five solvers).
+//
+// Sharding buys the serving tier three things:
+//   * build locality -- every builder writes each source row straight into
+//     its shard (the reference sweep from its source's Dijkstra run), so no
+//     second n x n copy ever exists;
+//   * allocation granularity -- S allocations of ~n^2/S cells instead of
+//     one n^2 block, the shape a NUMA-aware or multi-process tier needs;
+//   * occupancy observability -- per-shard row ranges and byte counts are
+//     reported through ServiceStats ("shards" in the stats JSONL).
+//
+// An oracle is immutable once published: any number of threads may query
+// it concurrently without synchronization.  The query service
+// (service/query_service.hpp) swaps whole oracles atomically under live
+// traffic and stamps each with a publication epoch; every cache entry
+// derived from an oracle carries that epoch, so nothing computed against an
+// old oracle is served after a swap.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/metrics.hpp"
 #include "graph/graph.hpp"
 #include "obs/critpath.hpp"
+#include "service/stats.hpp"
 
 namespace dapsp::service {
 
@@ -75,7 +95,7 @@ struct OracleMeta {
   }
 };
 
-/// Label of every reference-built oracle, flat or sharded.
+/// Label of every reference-built oracle, whatever its shard count.
 inline constexpr const char* kReferenceLabel =
     "reference (pooled Dijkstra sweep)";
 
@@ -85,27 +105,39 @@ class DistanceOracle {
 
   NodeId node_count() const noexcept { return n_; }
   /// False when distances are (1+eps)-approximate.
-  bool exact() const noexcept { return exact_; }
+  bool exact() const noexcept { return meta_.exact; }
   /// True when a next-hop table exists (every exact solver).  Approximate
   /// distances cannot certify which edges lie on shortest paths, so the
   /// approx oracle is distance-only.
-  bool has_paths() const noexcept { return !next_.empty(); }
+  bool has_paths() const noexcept {
+    return !shards_.empty() && !shards_.front().next.empty();
+  }
+  const OracleMeta& meta() const noexcept { return meta_; }
   const std::string& solver_label() const noexcept { return meta_.label; }
-  /// Stats of the CONGEST run that produced the matrices (rounds, messages).
+  /// Stats of the CONGEST run that produced the tables (zeroed for
+  /// kReference).
   const congest::RunStats& build_stats() const noexcept { return meta_.stats; }
-  /// Bytes held by the distance + next-hop tables.
+  /// Critical-path summary of the producing build; nullptr when the build
+  /// was not profiled (OracleBuildOptions::critpath off, reference solver,
+  /// or a process-global recorder owned the observation).
+  const obs::CritPathSummary* build_critpath() const noexcept {
+    return meta_.critpath.empty() ? nullptr : &meta_.critpath;
+  }
+  /// Bytes held by the distance + next-hop tables across all shards.
   std::size_t memory_bytes() const noexcept;
 
   /// Distance u -> v (kInfDist when unreachable).  Unchecked hot path: ids
   /// must be < node_count(); the query service validates untrusted input.
   Weight dist(NodeId u, NodeId v) const noexcept {
-    return dist_[flat(u, v)];
+    const Shard& s = shard_of(u);
+    return s.dist[s.cell(u, v, n_)];
   }
 
   /// First hop on a shortest path u -> v; kNoNode when u == v, v is
   /// unreachable, or the oracle is distance-only.  Unchecked ids.
   NodeId next_hop(NodeId u, NodeId v) const noexcept {
-    return next_.empty() ? graph::kNoNode : next_[flat(u, v)];
+    const Shard& s = shard_of(u);
+    return s.next.empty() ? graph::kNoNode : s.next[s.cell(u, v, n_)];
   }
 
   /// Full node sequence u ... v following next hops; nullopt when v is
@@ -113,48 +145,69 @@ class DistanceOracle {
   /// For u == v returns {u}.
   std::optional<std::vector<NodeId>> path(NodeId u, NodeId v) const;
 
-  /// Row u of the distance table (all targets of one source).  The serving
-  /// tier partitions oracles into vertex-range shards by copying/moving
-  /// whole rows; exposing them avoids recomputing the closure per shard.
-  std::span<const Weight> dist_row(NodeId u) const noexcept {
-    return {dist_.data() + flat(u, 0), static_cast<std::size_t>(n_)};
-  }
-  /// Row u of the next-hop table; empty span for distance-only oracles.
-  std::span<const NodeId> next_row(NodeId u) const noexcept {
-    if (next_.empty()) return {};
-    return {next_.data() + flat(u, 0), static_cast<std::size_t>(n_)};
-  }
-  const OracleMeta& meta() const noexcept { return meta_; }
+  /// Shard layout for occupancy reporting; the ranges partition [0, n) in
+  /// order.
+  std::size_t shard_count() const noexcept { return shards_.size(); }
+  ShardInfo shard_info(std::size_t shard) const noexcept;
+  std::vector<ShardInfo> shard_layout() const;
+
+  /// Publication epoch; 0 until the query service assigns one at swap time.
+  std::uint64_t epoch() const noexcept { return epoch_; }
+  /// Pre-publication only: the service stamps the epoch while it still holds
+  /// the sole reference, then releases the oracle to readers.
+  void set_epoch(std::uint64_t e) noexcept { epoch_ = e; }
 
  private:
   friend DistanceOracle build_oracle(const graph::Graph& g,
-                                     const OracleBuildOptions& opts);
+                                     const OracleBuildOptions& opts,
+                                     std::size_t shards);
   friend DistanceOracle make_oracle(
       const std::vector<std::vector<Weight>>& dist,
-      const std::vector<std::vector<NodeId>>& parent, OracleMeta meta);
+      const std::vector<std::vector<NodeId>>& parent, OracleMeta meta,
+      std::size_t shards);
   friend DistanceOracle make_oracle_from_distances(
       const graph::Graph& g, const std::vector<std::vector<Weight>>& dist,
-      const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta);
+      const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta,
+      std::size_t shards);
 
-  std::size_t flat(NodeId u, NodeId v) const noexcept {
-    return static_cast<std::size_t>(u) * n_ + v;
+  struct Shard {
+    NodeId row_begin = 0;
+    NodeId row_end = 0;
+    std::vector<Weight> dist;  // row-major [(u - row_begin)*n + v]
+    std::vector<NodeId> next;  // same layout; empty for distance-only
+
+    std::size_t cell(NodeId u, NodeId v, NodeId n) const noexcept {
+      return static_cast<std::size_t>(u - row_begin) * n + v;
+    }
+    std::size_t bytes() const noexcept {
+      return dist.size() * sizeof(Weight) + next.size() * sizeof(NodeId);
+    }
+  };
+
+  /// Lays out min(shards, n) (at least one) equal row ranges, the last
+  /// possibly short, with empty tables.
+  DistanceOracle(NodeId n, std::size_t shards, OracleMeta meta);
+
+  const Shard& shard_of(NodeId u) const noexcept {
+    return shards_[u / rows_per_shard_];
   }
 
   NodeId n_ = 0;
-  bool exact_ = true;
+  NodeId rows_per_shard_ = 1;
+  std::uint64_t epoch_ = 0;
   OracleMeta meta_;
-  std::vector<Weight> dist_;  // row-major [u*n + v]
-  std::vector<NodeId> next_;  // row-major; empty for distance-only oracles
+  std::vector<Shard> shards_;
 };
 
-/// Flattens a full APSP result (dist[s][v] with sources 0..n-1 in order)
-/// into an oracle.  `parent` (parent[s][v] = predecessor of v on the s-path)
-/// supplies the next-hop table; pass an empty vector for a distance-only
-/// oracle.  Throws std::logic_error on non-square input or parent chains
-/// that do not reach their source (corrupt run).
+/// Builds an oracle of `shards` row shards (clamped to [1, n]) from a full
+/// APSP result (dist[s][v] with sources 0..n-1 in order), appending each
+/// row straight into its shard.  `parent` (parent[s][v] = predecessor of v
+/// on the s-path) supplies the next-hop table; pass an empty vector for a
+/// distance-only oracle.  Throws std::logic_error on non-square input or
+/// parent chains that do not reach their source (corrupt run).
 DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
                            const std::vector<std::vector<NodeId>>& parent,
-                           OracleMeta meta);
+                           OracleMeta meta, std::size_t shards = 1);
 
 /// Fills next_row[v] (first hop s -> v) for one source from its distance and
 /// parent rows; `next_row` must hold n entries initialized to kNoNode.  This
@@ -166,18 +219,6 @@ void next_hops_from_parents(NodeId s, NodeId n,
                             std::span<const NodeId> parent_row,
                             NodeId* next_row);
 
-/// The reference build, shared by the flat and the sharded oracle: runs
-/// seq::dijkstra from every source on util::ThreadPool::global() and writes
-/// source s's distances to dist_rows[s][0, n) and its first hops
-/// (next_hops_from_parents) to next_rows[s][0, n), straight into the
-/// caller's final storage.  Both spans hold g.node_count() row pointers.
-/// Returns the meta of a reference oracle, with the sweep's wall seconds and
-/// arcs x sources.  A throw in any source's work (a corrupt parent chain)
-/// propagates to the caller once the pool has drained.
-OracleMeta reference_sweep(const graph::Graph& g,
-                           std::span<Weight* const> dist_rows,
-                           std::span<NodeId* const> next_rows);
-
 /// Same, deriving next hops from the distance matrix over g's arcs: the
 /// first hop toward v is the out-neighbor w with w(u,w) + dist(w,v) =
 /// dist(u,v), ties broken by fewer remaining hops (progress across
@@ -185,10 +226,14 @@ OracleMeta reference_sweep(const graph::Graph& g,
 /// distances + hop counts but no parent pointers (scaled).
 DistanceOracle make_oracle_from_distances(
     const graph::Graph& g, const std::vector<std::vector<Weight>>& dist,
-    const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta);
+    const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta,
+    std::size_t shards = 1);
 
-/// Enum-dispatched factory: runs the chosen solver on g and builds the
-/// oracle from its output.
+/// Enum-dispatched factory: runs the chosen solver on g and builds an
+/// oracle of `shards` row shards (clamped to [1, n]) from its output.
+/// kReference runs seq::dijkstra from every source on
+/// util::ThreadPool::global() and writes each source's row straight into
+/// its shard.
 ///
 /// Fault safety: when a process-global fault plan is active
 /// (congest::Engine::set_global_fault_plan) and the solver ran on the
@@ -198,6 +243,15 @@ DistanceOracle make_oracle_from_distances(
 /// faulted build either serves correct reachability or fails loudly; it
 /// never silently serves kInfDist for a connected pair.
 DistanceOracle build_oracle(const graph::Graph& g,
-                            const OracleBuildOptions& opts = {});
+                            const OracleBuildOptions& opts = {},
+                            std::size_t shards = 1);
+
+/// Former name of DistanceOracle and its shared_ptr factory, kept only for
+/// the perfbench harness (perfbench/src/workloads.cpp); delete both once
+/// perfbench spells DistanceOracle.
+using OracleSnapshot = DistanceOracle;
+inline std::shared_ptr<DistanceOracle> make_flat_snapshot(DistanceOracle o) {
+  return std::make_shared<DistanceOracle>(std::move(o));
+}
 
 }  // namespace dapsp::service

@@ -311,12 +311,12 @@ struct QueryService::Recorder {
 // ---------------------------------------------------------------------------
 
 QueryService::QueryService(DistanceOracle oracle, QueryServiceConfig cfg)
-    : QueryService(std::make_shared<FlatSnapshot>(std::move(oracle)), cfg) {}
+    : QueryService(std::make_shared<DistanceOracle>(std::move(oracle)), cfg) {}
 
-QueryService::QueryService(std::shared_ptr<OracleSnapshot> snapshot,
+QueryService::QueryService(std::shared_ptr<DistanceOracle> snapshot,
                            QueryServiceConfig cfg)
     : cfg_(cfg),
-      snap_(std::shared_ptr<const OracleSnapshot>(std::move(snapshot))),
+      snap_(std::move(snapshot)),
       recorder_(std::make_unique<Recorder>()),
       pool_(std::make_unique<util::ThreadPool>(cfg.threads)) {
   if (cfg_.path_cache_capacity > 0) {
@@ -335,7 +335,7 @@ void QueryService::enable_analytics(std::shared_ptr<const graph::Graph> g) {
 }
 
 std::uint64_t QueryService::swap_snapshot(
-    std::shared_ptr<OracleSnapshot> next, std::uint64_t rebuild_ns) {
+    std::shared_ptr<DistanceOracle> next, std::uint64_t rebuild_ns) {
   const auto t0 = std::chrono::steady_clock::now();
   // Stamp the epoch while we still hold the only reference, then publish.
   // Readers that loaded the old snapshot keep serving from it until their
@@ -343,7 +343,7 @@ std::uint64_t QueryService::swap_snapshot(
   const std::uint64_t e =
       epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   next->set_epoch(e);
-  std::shared_ptr<const OracleSnapshot> retired{std::move(next)};
+  std::shared_ptr<const DistanceOracle> retired{std::move(next)};
   {
     std::lock_guard lock(snap_mu_);
     snap_.swap(retired);
@@ -359,7 +359,7 @@ std::uint64_t QueryService::swap_snapshot(
   return e;
 }
 
-QueryResult QueryService::execute(const OracleSnapshot& snap,
+QueryResult QueryService::execute(const DistanceOracle& snap,
                                   const Query& q) const {
   QueryResult r;
   r.type = q.type;
@@ -419,7 +419,7 @@ QueryResult QueryService::execute(const OracleSnapshot& snap,
   return r;
 }
 
-QueryResult QueryService::execute_analytics(const OracleSnapshot& snap,
+QueryResult QueryService::execute_analytics(const DistanceOracle& snap,
                                             const Query& q) const {
   QueryResult r;
   r.type = q.type;
@@ -526,7 +526,7 @@ QueryResult QueryService::execute_analytics(const OracleSnapshot& snap,
   return r;
 }
 
-QueryResult QueryService::timed_execute(const OracleSnapshot& snap,
+QueryResult QueryService::timed_execute(const DistanceOracle& snap,
                                         const Query& q) const {
   const auto t0 = std::chrono::steady_clock::now();
   QueryResult r = execute(snap, q);
@@ -541,7 +541,7 @@ QueryResult QueryService::timed_execute(const OracleSnapshot& snap,
 QueryResult QueryService::query(const Query& q) const {
   // Pin the serving snapshot for the duration of this query: a concurrent
   // swap retires the old snapshot only after this reference drops.
-  const std::shared_ptr<const OracleSnapshot> snap = snapshot();
+  const std::shared_ptr<const DistanceOracle> snap = snapshot();
   return timed_execute(*snap, q);
 }
 
@@ -549,7 +549,7 @@ std::vector<QueryResult> QueryService::query_batch(
     std::span<const Query> queries) const {
   // One snapshot for the whole batch: a swap mid-batch never yields a
   // response mixing epochs.
-  const std::shared_ptr<const OracleSnapshot> snap = snapshot();
+  const std::shared_ptr<const DistanceOracle> snap = snapshot();
   std::vector<QueryResult> results(queries.size());
   pool_->parallel_for(queries.size(), [&](std::size_t i) {
     results[i] = timed_execute(*snap, queries[i]);
@@ -572,7 +572,7 @@ ServiceStats QueryService::stats() const {
     st.swap_ns = recorder_->swap_ns;
     st.rebuild_ns = recorder_->rebuild_ns;
   }
-  const std::shared_ptr<const OracleSnapshot> snap = snapshot();
+  const std::shared_ptr<const DistanceOracle> snap = snapshot();
   st.snapshot_epoch = snap->epoch();
   st.shards = snap->shard_layout();
   if (const obs::CritPathSummary* cp = snap->build_critpath()) {

@@ -28,7 +28,7 @@
 namespace dapsp::service {
 
 /// Occupancy of one vertex-range shard of the current oracle snapshot
-/// (a flat oracle reports itself as a single shard covering every row).
+/// (with one shard, a single range covering every row).
 struct ShardInfo {
   std::uint32_t row_begin = 0;  ///< first source row owned by the shard
   std::uint32_t row_end = 0;    ///< one past the last owned row

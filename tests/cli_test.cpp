@@ -1,6 +1,7 @@
 // Tests for the dapsp_cli option parser and command execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -398,6 +399,50 @@ TEST(CliCommands, FaultsOffLeavesOutputIdentical) {
     return out.str();
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+TEST(CliCommands, ServeAnswersIdenticalAcrossShardCounts) {
+  // The same query lines before and after a "rebuild" hot swap: neither the
+  // first build nor the rebuilt snapshot may answer differently at another
+  // shard count.  n = 20 at --shards 3 cuts rows [0,7) [7,14) [14,20); the
+  // lines read rows in all three.
+  const std::string lines =
+      "dist 0 13\ndist 9 4\ndist 17 2\nnext 3 17\nnext 4 4\nnext 12 1\n"
+      "path 0 19\npath 7 2\npath 16 5\nkpath 1 18 3\nkpath 14 6 2\n";
+  const std::string path = "/tmp/dapsp_cli_test_shards.txt";
+  {
+    std::ofstream f(path);
+    f << lines << "rebuild\n" << lines;
+  }
+  const auto run = [&path](const char* shards) {
+    const Options o =
+        parse({"serve", "--n", "20", "--p", "0.3", "--seed", "21", "--quiet",
+               "--shards", shards, "--queries", path.c_str()});
+    std::ostringstream out, err;
+    EXPECT_EQ(run_command(o, out, err), 0) << err.str();
+    // Answer lines before and after the swap; the rebuild line between them
+    // carries its own build time.
+    std::istringstream in(out.str());
+    std::vector<std::string> halves[2];
+    int half = 0;
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("rebuild:", 0) == 0) {
+        EXPECT_EQ(line.rfind("rebuild: epoch=1 ", 0), 0u) << line;
+        ++half;
+      } else {
+        halves[std::min(half, 1)].push_back(line);
+      }
+    }
+    EXPECT_EQ(half, 1);
+    // Rebuilt from the same graph, the second half repeats the first.
+    EXPECT_EQ(halves[1], halves[0]);
+    return halves[0];
+  };
+  const std::vector<std::string> flat = run("1");
+  // 9 point answers, then 3 + 2 kpath routes under their header lines.
+  ASSERT_EQ(flat.size(), 16u);
+  EXPECT_EQ(run("3"), flat);
+  std::remove(path.c_str());
 }
 
 TEST(CliCommands, MissingFileIsGracefulError) {

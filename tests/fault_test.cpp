@@ -684,8 +684,11 @@ TEST(Reliable, ExactInOrderDeliveryAtFifteenPercentLoss) {
 
 // ---------------------------------------------------------------------------
 // Service-layer safety net: a crashed cut vertex must fail the oracle build
-// loudly, never silently serve kInfDist for a connected pair.
+// loudly, never silently serve kInfDist for a connected pair.  The check
+// reads the finished row shards, so it runs flat (S = 1) and sharded.
 // ---------------------------------------------------------------------------
+
+const std::size_t kPartitionShards[] = {1, 4};
 
 TEST(FaultPartition, CrashedCutVertexFailsTheBuild) {
   const Graph g = graph::path(7, {1, 3, 0.0}, 901, false);
@@ -693,13 +696,16 @@ TEST(FaultPartition, CrashedCutVertexFailsTheBuild) {
   const GlobalPlanGuard guard(&plan);
   service::OracleBuildOptions opts;
   opts.solver = service::Solver::kPipelined;
-  try {
-    service::build_oracle(g, opts);
-    FAIL() << "partitioned build did not throw";
-  } catch (const std::runtime_error& err) {
-    // The error must name the plan so the failure is replayable.
-    EXPECT_NE(std::string(err.what()).find("crash=3@0"), std::string::npos)
-        << err.what();
+  for (const std::size_t shards : kPartitionShards) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    try {
+      service::build_oracle(g, opts, shards);
+      ADD_FAILURE() << "partitioned build did not throw";
+    } catch (const std::runtime_error& err) {
+      // The error must name the plan so the failure is replayable.
+      EXPECT_NE(std::string(err.what()).find("crash=3@0"), std::string::npos)
+          << err.what();
+    }
   }
 }
 
@@ -721,11 +727,15 @@ TEST(FaultPartition, HarmlessPlanBuildsExactOracle) {
   const GlobalPlanGuard guard(&plan);
   service::OracleBuildOptions opts;
   opts.solver = service::Solver::kPipelined;
-  const service::DistanceOracle o = service::build_oracle(g, opts);
-  for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto dj = seq::dijkstra(g, s);
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      ASSERT_EQ(o.dist(s, v), dj.dist[v]) << s << "->" << v;
+  for (const std::size_t shards : kPartitionShards) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const service::DistanceOracle o = service::build_oracle(g, opts, shards);
+    EXPECT_EQ(o.shard_count(), shards);
+    for (NodeId s = 0; s < g.node_count(); ++s) {
+      const auto dj = seq::dijkstra(g, s);
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        ASSERT_EQ(o.dist(s, v), dj.dist[v]) << s << "->" << v;
+      }
     }
   }
 }

@@ -143,12 +143,11 @@ TEST(Analytics, AvoidIdsBeyondRangeAreIgnoredNotErrors) {
 TEST(Analytics, BetweennessBitIdenticalAcrossThreadCounts) {
   const Graph g = graph::erdos_renyi(40, 0.15, {0, 6, 0.2}, 777);
   const query::Analytics an(std::make_shared<const Graph>(g));
-  const auto snap = make_flat_snapshot(
-      build_oracle(g, {Solver::kReference, 0, 0.5}));
+  const DistanceOracle o = build_oracle(g, {Solver::kReference, 0, 0.5});
   util::ThreadPool pool1(1);
   util::ThreadPool pool8(8);
-  const auto a = an.betweenness(*snap, 0, pool1);
-  const auto b = an.betweenness(*snap, 0, pool8);
+  const auto a = an.betweenness(o, 0, pool1);
+  const auto b = an.betweenness(o, 0, pool8);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     // Chunked reduction in chunk order: not merely close -- identical bits.
@@ -159,11 +158,10 @@ TEST(Analytics, BetweennessBitIdenticalAcrossThreadCounts) {
 TEST(Analytics, ReportIdenticalAcrossThreadCounts) {
   const Graph g = graph::erdos_renyi(40, 0.15, {0, 6, 0.2}, 778);
   const query::Analytics an(std::make_shared<const Graph>(g));
-  const auto snap = make_flat_snapshot(
-      build_oracle(g, {Solver::kReference, 0, 0.5}));
+  const DistanceOracle o = build_oracle(g, {Solver::kReference, 0, 0.5});
   util::ThreadPool pool1(1);
   util::ThreadPool pool8(8);
-  EXPECT_TRUE(an.report(*snap, pool1) == an.report(*snap, pool8));
+  EXPECT_TRUE(an.report(o, pool1) == an.report(o, pool8));
 }
 
 TEST(Analytics, BetweennessSamplerIsSharedStride) {
@@ -364,8 +362,8 @@ TEST(QueryServiceAnalytics, CacheHitsOnRepeatMissesAfterSwap) {
   EXPECT_EQ(svc.stats().cache_misses, 3u);
 
   // A snapshot swap invalidates every entry implicitly.
-  svc.swap_snapshot(
-      make_flat_snapshot(build_oracle(g, {Solver::kReference, 0, 0.5})));
+  svc.swap_snapshot(std::make_shared<DistanceOracle>(
+      build_oracle(g, {Solver::kReference, 0, 0.5})));
   const QueryResult after = svc.query(q);
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_EQ(svc.stats().cache_misses, 4u);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "serve/sharded_oracle.hpp"
 #include "serve/snapshot_manager.hpp"
 #include "service/query_service.hpp"
 
@@ -31,15 +30,22 @@ using service::QueryType;
 constexpr service::OracleBuildOptions kRef{service::Solver::kReference, 0,
                                            0.5};
 
+/// A reference oracle of `shards` row shards, ready for swap_snapshot.
+std::shared_ptr<service::DistanceOracle> shared_ref(const Graph& g,
+                                                    std::size_t shards) {
+  return std::make_shared<service::DistanceOracle>(
+      service::build_oracle(g, kRef, shards));
+}
+
 TEST(SnapshotSwap, EpochAdvancesAndRetiresOldSnapshot) {
   const Graph g = graph::erdos_renyi(16, 0.3, {1, 7, 0.0}, 50);
   QueryService svc(service::build_oracle(g, kRef));
   auto first = svc.snapshot();
   EXPECT_EQ(first->epoch(), 0u);
 
-  std::weak_ptr<const service::OracleSnapshot> retired = first;
-  EXPECT_EQ(svc.swap_snapshot(build_sharded_oracle(g, kRef, 2)), 1u);
-  EXPECT_EQ(svc.swap_snapshot(build_sharded_oracle(g, kRef, 4)), 2u);
+  std::weak_ptr<const service::DistanceOracle> retired = first;
+  EXPECT_EQ(svc.swap_snapshot(shared_ref(g, 2)), 1u);
+  EXPECT_EQ(svc.swap_snapshot(shared_ref(g, 4)), 2u);
   EXPECT_EQ(svc.snapshot()->epoch(), 2u);
   EXPECT_EQ(svc.stats().snapshot_epoch, 2u);
   EXPECT_EQ(svc.stats().swaps, 2u);
@@ -80,7 +86,7 @@ TEST(SnapshotSwap, PathCacheNeverServesStaleEntriesAcrossSwaps) {
   EXPECT_EQ(svc.query(q).path, before.path);
   EXPECT_EQ(svc.stats().cache_hits, 1u);
 
-  svc.swap_snapshot(build_sharded_oracle(gb, kRef, 2));
+  svc.swap_snapshot(shared_ref(gb, 2));
   const QueryResult after = svc.query(q);
   ASSERT_TRUE(after.ok);
   EXPECT_EQ(after.path, (std::vector<graph::NodeId>{0, 2, 3}))
