@@ -120,7 +120,7 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
     : graph_(g), protocols_(std::move(protocols)), options_(options) {
   util::check(protocols_.size() == g.node_count(),
               "Engine: need one protocol per node");
-  dense_ = options_.dense_fallback || g_force_dense;
+  dense_ = g_force_dense;
   recorder_ = options_.recorder != nullptr ? options_.recorder
                                            : g_global_recorder;
   const NodeId n = g.node_count();
@@ -135,7 +135,7 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
   } else {
     pool_ = &util::ThreadPool::global();
   }
-  if (options_.pin_threads || g_force_pin) pool_->pin_threads();
+  if (g_force_pin) pool_->pin_threads();
 
   link_base_.resize(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -911,8 +911,7 @@ RunStats Engine::run() {
     const std::uint64_t sent = step();
     chain_ticks_ = true;
     const bool frames_pending = faults_ != nullptr && faults_->has_pending();
-    if (options_.stop_on_quiescence && sent == 0 && !frames_pending &&
-        all_quiescent()) {
+    if (sent == 0 && !frames_pending && all_quiescent()) {
       return stats_;
     }
     if (!dense_ && active_next_.empty()) {
@@ -934,8 +933,7 @@ RunStats Engine::run() {
                                ? options_.max_rounds
                                : std::min(wake - 1, options_.max_rounds);
       if (target > round_) {
-        if (options_.stop_on_quiescence && !frames_pending &&
-            all_quiescent()) {
+        if (!frames_pending && all_quiescent()) {
           skip_silent_rounds(1);
           return stats_;
         }

@@ -27,8 +27,8 @@
 // is non-empty.  `Engine::run` additionally fast-forwards the round counter
 // across provably silent gaps.  Round/message/congestion statistics are
 // bit-identical to the dense schedule (see docs/PERF.md for the argument);
-// `EngineOptions::dense_fallback` keeps the exhaustive all-nodes-per-round
-// path as the correctness oracle.
+// `Engine::set_force_dense` keeps the exhaustive all-nodes-per-round path
+// as the correctness oracle.
 //
 // Termination: the engine stops at `max_rounds`, or earlier when no message
 // is in flight and every protocol reports `quiescent()` -- i.e. it would
@@ -183,7 +183,6 @@ class MessageLog final : public TraceSink {
 
 struct EngineOptions {
   Round max_rounds = 1'000'000;
-  bool stop_on_quiescence = true;
   bool record_per_round = false;
   /// Deterministically permute each inbox instead of delivering in
   /// (sender, send order).  The CONGEST model does not promise any arrival
@@ -194,10 +193,6 @@ struct EngineOptions {
   /// Worker threads for node execution; 0 = use the process-global pool.
   /// Results are bit-identical for every value (tested).
   std::size_t threads = 0;
-  /// Pin the resolved pool's worker threads round-robin across CPUs
-  /// (Linux-only; a no-op elsewhere).  Pure scheduling hint: results are
-  /// bit-identical with pinning on or off.
-  bool pin_threads = false;
   /// Optional message observer (not owned; must outlive the engine).
   TraceSink* trace = nullptr;
   /// Optional per-round trace recorder (not owned; must outlive the
@@ -207,10 +202,6 @@ struct EngineOptions {
   /// nothing: deterministic stats and solver outputs are identical with
   /// the recorder on or off (tested).
   obs::TraceRecorder* recorder = nullptr;
-  /// Run every node every round (the original exhaustive schedule) instead
-  /// of the sparse active-set scheduler.  Kept as the correctness oracle:
-  /// stats and protocol outcomes are bit-identical either way (tested).
-  bool dense_fallback = false;
   /// Optional fault plan (not owned; must outlive the engine).  Null, or a
   /// plan with no fault enabled, costs nothing: the engine never constructs
   /// the fault plane and the delivery path is the pre-fault code, so outputs
@@ -276,17 +267,22 @@ class Engine {
   Round current_round() const noexcept { return round_; }
 
   /// Process-wide overrides for equivalence tests and A/B benches: force
-  /// every subsequently constructed engine onto the dense fallback path
-  /// and/or a fixed thread count, regardless of its EngineOptions.  Set them
-  /// before constructing engines (they are latched in the constructor);
-  /// kNoThreadOverride clears the thread override.
+  /// every subsequently constructed engine onto the dense schedule (every
+  /// node every round instead of the sparse active set; stats and protocol
+  /// outcomes are bit-identical either way, tested) and/or a fixed thread
+  /// count, regardless of its EngineOptions.  Set them before constructing
+  /// engines (they are latched in the constructor); kNoThreadOverride clears
+  /// the thread override.
   static constexpr std::size_t kNoThreadOverride =
       std::numeric_limits<std::size_t>::max();
   static void set_force_dense(bool on) noexcept;
   static bool force_dense() noexcept;
   static void set_force_threads(std::size_t threads) noexcept;
   /// Force worker pinning for every subsequently constructed engine (how the
-  /// CLI's --pin flag reaches engines built deep inside the solvers).
+  /// CLI's --pin flag reaches engines built deep inside the solvers): the
+  /// resolved pool's workers are pinned round-robin across CPUs (Linux-only;
+  /// a no-op elsewhere).  Pure scheduling hint: results are bit-identical
+  /// with pinning on or off.
   static void set_force_pin(bool on) noexcept;
   static bool force_pin() noexcept;
 

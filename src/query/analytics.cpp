@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <set>
-#include <tuple>
+
+#include "seq/dijkstra.hpp"
 
 namespace dapsp::query {
 
@@ -89,63 +89,27 @@ std::optional<Route> Analytics::constrained_route(
     }
     if (feasible) return Route{snap.dist(u, v), std::move(*p)};
   }
-  return constrained_search(snap, u, v, c);
-}
 
-std::optional<Route> Analytics::constrained_search(
-    const DistanceOracle& snap, NodeId u, NodeId v,
-    const RouteConstraints& c) const {
-  const Graph& g = *g_;
-  const NodeId n = g.node_count();
-  const Filters f(g, c);
-  const std::uint32_t cap = n - 1;
-  const std::uint32_t h =
-      (c.max_hops == 0 || c.max_hops > cap) ? 0 : c.max_hops;
-  // Closure pruning: a node that cannot reach v even without constraints
-  // can never sit on a feasible route, and (see docs/QUERY.md) dropping it
-  // cannot change the canonical parent of any node that survives.
-  const auto pruned = [&](NodeId x) { return snap.dist(x, v) == kInfDist; };
+  // The closure path is infeasible: search the filtered graph.  Closure
+  // pruning: a node that cannot reach v even without constraints can never
+  // sit on a feasible route, and (see docs/QUERY.md) dropping it cannot
+  // change the canonical parent of any node that survives.
+  const auto admit = [&](NodeId x, NodeId y) {
+    return !f.node(y) && !f.arc(x, y) && snap.dist(y, v) != kInfDist;
+  };
 
   if (h == 0) {
-    // No (effective) hop budget: filtered Dijkstra with the repo's
-    // (d, l, min-parent-id) rule, stopping as soon as v settles.
-    std::vector<Weight> dist(n, kInfDist);
-    std::vector<std::uint32_t> hops(n, 0);
-    std::vector<NodeId> parent(n, kNoNode);
-    std::vector<char> settled(n, 0);
-    using Key = std::tuple<Weight, std::uint32_t, NodeId>;
-    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> pq;
-    dist[u] = 0;
-    pq.emplace(0, 0, u);
-    while (!pq.empty()) {
-      const auto [d, l, x] = pq.top();
-      pq.pop();
-      if (settled[x] || d != dist[x] || l != hops[x]) continue;
-      settled[x] = 1;
-      if (x == v) break;
-      for (const Edge& e : g.out_edges(x)) {
-        const NodeId y = e.to;
-        if (f.node(y) || f.arc(x, y) || pruned(y)) continue;
-        const Weight nd = d + e.weight;
-        const std::uint32_t nl = l + 1;
-        if (nd < dist[y] || (nd == dist[y] && nl < hops[y])) {
-          dist[y] = nd;
-          hops[y] = nl;
-          parent[y] = x;
-          pq.emplace(nd, nl, y);
-        } else if (nd == dist[y] && nl == hops[y] && x < parent[y]) {
-          parent[y] = x;
-        }
-      }
-    }
-    if (dist[v] == kInfDist) return std::nullopt;
+    // No (effective) hop budget: the shared seq::dijkstra kernel with the
+    // repo's (d, l, min-parent-id) rule, stopping as soon as v settles.
+    const seq::SsspResult r = seq::dijkstra_to(g, u, v, admit);
+    if (r.dist[v] == kInfDist) return std::nullopt;
     Route route;
-    route.weight = dist[v];
-    route.nodes.resize(hops[v] + 1);
+    route.weight = r.dist[v];
+    route.nodes.resize(r.hops[v] + 1);
     NodeId x = v;
     for (std::size_t i = route.nodes.size(); i-- > 0;) {
       route.nodes[i] = x;
-      x = parent[x];
+      x = r.parent[x];
     }
     return route;
   }
@@ -166,7 +130,7 @@ std::optional<Route> Analytics::constrained_search(
       if (prev[x] == kInfDist) continue;
       for (const Edge& e : g.out_edges(x)) {
         const NodeId y = e.to;
-        if (f.node(y) || f.arc(x, y) || pruned(y)) continue;
+        if (!admit(x, y)) continue;
         const Weight cand = prev[x] + e.weight;
         if (cand < cur[y]) {
           cur[y] = cand;

@@ -13,6 +13,10 @@
 //                       filtered search, still pruned by closure
 //                       reachability (a node that cannot reach the target
 //                       unconstrained can never appear on a feasible route).
+//                       Without a hop budget that search is the shared
+//                       seq::dijkstra kernel (seq::dijkstra_to, stopping
+//                       when the target settles); under one it is
+//                       hop-layered DP.
 //  * report          -- eccentricity / radius / diameter / farness from row
 //                       scans of the served dist matrix, parallelized over
 //                       the snapshot's source rows (shard-local reads on the
@@ -49,8 +53,10 @@ class Analytics {
 
   const graph::Graph& graph() const noexcept { return *g_; }
 
-  /// Up to k shortest loopless paths source->target in route_less order.
-  /// Requires snap.has_paths().  Empty when target is unreachable.
+  /// Up to k shortest loopless paths source->target in non-decreasing
+  /// weight: the canonical shortest path first, weight ties in Yen
+  /// extraction order (docs/QUERY.md).  Requires snap.has_paths().  Empty
+  /// when target is unreachable.
   std::vector<Route> k_shortest(const service::DistanceOracle& snap, NodeId u,
                                 NodeId v, std::uint32_t k) const;
 
@@ -74,10 +80,6 @@ class Analytics {
                                   util::ThreadPool& pool) const;
 
  private:
-  std::optional<Route> constrained_search(const service::DistanceOracle& snap,
-                                          NodeId u, NodeId v,
-                                          const RouteConstraints& c) const;
-
   std::shared_ptr<const graph::Graph> g_;
 };
 

@@ -38,8 +38,14 @@ struct Workspace {
   std::vector<std::uint8_t> settled;
 };
 
+thread_local Workspace ws;
+
 /// One kernel for both directions: `Adj` is out_edges or in_edges and
-/// `Head` the arc end a relaxation reaches (Edge::to or Edge::from).
+/// `Head` the arc end a relaxation reaches (Edge::to or Edge::from).  A
+/// relaxation from settled x to y runs only when admit(x, y) holds, and the
+/// search stops once `target` settles (kNoNode: never); every candidate
+/// parent of a node settles before it, so the target's parent chain is
+/// final by then.
 ///
 /// A neighbour is pushed only when its (dist, hops, parent) triple strictly
 /// improves lexicographically, so the first pop of a node carries its
@@ -48,15 +54,15 @@ struct Workspace {
 /// later candidate has more hops at no smaller distance), so the labels and
 /// the settle order equal those of a queue that pushed every relaxation.
 template <std::span<const Edge> (Graph::*Adj)(NodeId) const noexcept,
-          NodeId Edge::*Head>
-SsspResult run(const Graph& g, NodeId source) {
+          NodeId Edge::*Head, class Admit>
+SsspResult run(const Graph& g, NodeId source, NodeId target,
+               const Admit& admit) {
   const NodeId n = g.node_count();
   SsspResult r;
   r.dist.assign(n, kInfDist);
   r.hops.assign(n, 0);
   r.parent.assign(n, kNoNode);
 
-  thread_local Workspace ws;
   std::vector<QEntry>& heap = ws.heap;
   std::vector<std::uint8_t>& settled = ws.settled;
   heap.clear();
@@ -71,10 +77,12 @@ SsspResult run(const Graph& g, NodeId source) {
     heap.pop_back();
     if (settled[top.node]) continue;
     settled[top.node] = 1;
+    if (top.node == target) break;
     const Weight d = top.dist;
     const std::uint32_t h = top.hops + 1;
     for (const Edge& e : (g.*Adj)(top.node)) {
       const NodeId v = e.*Head;
+      if (!admit(top.node, v)) continue;
       const Weight dv = d + e.weight;
       if (std::tie(dv, h, top.node) <
           std::tie(r.dist[v], r.hops[v], r.parent[v])) {
@@ -89,14 +97,21 @@ SsspResult run(const Graph& g, NodeId source) {
   return r;
 }
 
+constexpr auto kAdmitAll = [](NodeId, NodeId) { return true; };
+
 }  // namespace
 
 SsspResult dijkstra(const Graph& g, NodeId source) {
-  return run<&Graph::out_edges, &Edge::to>(g, source);
+  return run<&Graph::out_edges, &Edge::to>(g, source, kNoNode, kAdmitAll);
 }
 
 SsspResult dijkstra_reverse(const Graph& g, NodeId target) {
-  return run<&Graph::in_edges, &Edge::from>(g, target);
+  return run<&Graph::in_edges, &Edge::from>(g, target, kNoNode, kAdmitAll);
+}
+
+SsspResult dijkstra_to(const Graph& g, NodeId source, NodeId target,
+                       const std::function<bool(NodeId, NodeId)>& admit) {
+  return run<&Graph::out_edges, &Edge::to>(g, source, target, admit);
 }
 
 std::vector<std::vector<Weight>> apsp(const Graph& g) {

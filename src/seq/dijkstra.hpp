@@ -6,6 +6,7 @@
 // among equal (d, l) the smaller parent id wins, making parents unique.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -25,6 +26,15 @@ SsspResult dijkstra(const graph::Graph& g, graph::NodeId source);
 
 /// Shortest paths *into* `target` following in-edges (distances v -> target).
 SsspResult dijkstra_reverse(const graph::Graph& g, graph::NodeId target);
+
+/// The same kernel over only the arcs x -> y with admit(x, y) true, stopping
+/// as soon as `target` settles.  The labels of `target` and of every node on
+/// its parent chain are final (dist[target] == kInfDist when no admitted
+/// path reaches it); other entries may be tentative.
+SsspResult dijkstra_to(const graph::Graph& g, graph::NodeId source,
+                       graph::NodeId target,
+                       const std::function<bool(graph::NodeId, graph::NodeId)>&
+                           admit);
 
 /// All-pairs matrix: result[s][v] = dist(s, v).  Runs n Dijkstras.
 std::vector<std::vector<graph::Weight>> apsp(const graph::Graph& g);

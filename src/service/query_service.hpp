@@ -68,7 +68,9 @@ struct QueryResult {
   std::vector<NodeId> path;   ///< filled for kPath when reachable
   // Analytics payloads.
   bool feasible = true;       ///< kRoute: false when no route satisfies
-  std::vector<query::Route> routes;      ///< kKPaths (route_less order)
+  /// kKPaths: non-decreasing weight, canonical path first, weight ties in
+  /// Yen extraction order.
+  std::vector<query::Route> routes;
   query::GraphReport report;             ///< kReport
   std::vector<double> centrality;        ///< kBetweenness
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -152,6 +156,118 @@ TEST(Dijkstra, WorkspaceReuseAcrossGraphSizes) {
                          label_correcting(*g, s, true), "reverse " + where);
     }
   }
+}
+
+/// Banned nodes and arcs for dijkstra_to, with the arc filter it takes and a
+/// directed copy of `g` holding exactly the arcs that filter admits.
+struct Bans {
+  std::vector<char> node;
+  std::set<std::pair<NodeId, NodeId>> arc;
+
+  bool admits(NodeId x, NodeId y) const {
+    return node[y] == 0 && arc.count({x, y}) == 0;
+  }
+
+  Graph filtered_copy(const Graph& g) const {
+    GraphBuilder b(g.node_count(), /*directed=*/true);
+    for (const Edge& e : g.edges()) {
+      if (admits(e.from, e.to)) b.add_edge(e.from, e.to, e.weight);
+    }
+    return std::move(b).build();
+  }
+};
+
+/// Runs dijkstra_to(g, s, t) under `bans` and checks it against a plain
+/// dijkstra on the filtered copy: the target and every node on its parent
+/// chain carry the reference labels, every node the search expanded is
+/// final, neither the target nor any node with a larger (d, l) label is
+/// expanded (the search stops when the target settles), and an unreachable
+/// target leaves every label final.  Returns whether t was reachable.
+bool expect_dijkstra_to_matches(const Graph& g, NodeId s, NodeId t,
+                                const Bans& bans, const std::string& where) {
+  std::vector<char> expanded(g.node_count(), 0);
+  const SsspResult got = dijkstra_to(g, s, t, [&](NodeId x, NodeId y) {
+    expanded[x] = 1;
+    return bans.admits(x, y);
+  });
+  const SsspResult want = dijkstra(bans.filtered_copy(g), s);
+  if (want.dist[t] == kInfDist) {
+    expect_same_labels(got, want, "unreachable " + where);
+    return false;
+  }
+  EXPECT_EQ(expanded[t], 0) << where << ": target expanded";
+  for (NodeId x = t;; x = want.parent[x]) {
+    EXPECT_EQ(got.dist[x], want.dist[x]) << where << " chain x=" << x;
+    EXPECT_EQ(got.hops[x], want.hops[x]) << where << " chain x=" << x;
+    EXPECT_EQ(got.parent[x], want.parent[x]) << where << " chain x=" << x;
+    if (x == s) break;
+  }
+  for (NodeId x = 0; x < g.node_count(); ++x) {
+    if (!expanded[x]) continue;
+    EXPECT_LE(std::tie(want.dist[x], want.hops[x]),
+              std::tie(want.dist[t], want.hops[t]))
+        << where << ": expanded x=" << x << " after the target settled";
+    EXPECT_EQ(got.dist[x], want.dist[x]) << where << " expanded x=" << x;
+    EXPECT_EQ(got.hops[x], want.hops[x]) << where << " expanded x=" << x;
+    EXPECT_EQ(got.parent[x], want.parent[x]) << where << " expanded x=" << x;
+  }
+  return true;
+}
+
+TEST(Dijkstra, FilteredEarlyExitMatchesDijkstraOnFilteredCopy) {
+  // diamond(): 0 -> 1 -> 3 (1+1), 0 -> 2 -> 3 (0+0), 0 -> 3 (5).  Banning
+  // node 2, then arc 1-3, then arc 0-3 walks the target through each route
+  // and finally cuts it off.
+  const Graph d = diamond();
+  Bans cut{std::vector<char>(4, 0), {}};
+  const auto run = [&] {
+    return dijkstra_to(d, 0, 3,
+                       [&](NodeId x, NodeId y) { return cut.admits(x, y); });
+  };
+  cut.node[2] = 1;
+  EXPECT_TRUE(expect_dijkstra_to_matches(d, 0, 3, cut, "diamond ban 2"));
+  EXPECT_EQ(run().parent[3], 1u);
+  cut.arc.insert({1, 3});
+  EXPECT_TRUE(expect_dijkstra_to_matches(d, 0, 3, cut, "diamond ban 1-3"));
+  EXPECT_EQ(run().dist[3], 5);
+  cut.arc.insert({0, 3});
+  EXPECT_FALSE(expect_dijkstra_to_matches(d, 0, 3, cut, "diamond cut"));
+  EXPECT_EQ(run().parent[3], kNoNode);
+
+  // Zero-weight-heavy and plain ER graphs, both directions, some left
+  // disconnected; every query bans ~10% of the nodes (never the source)
+  // and ~15% of the arcs.
+  std::mt19937_64 rng(2024);
+  std::size_t reached = 0, unreached = 0;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    const bool directed = seed % 2 == 0;
+    const graph::WeightSpec spec = seed % 4 < 2
+                                       ? graph::WeightSpec{0, 2, 0.6}
+                                       : graph::WeightSpec{1, 9, 0.0};
+    const Graph g = graph::erdos_renyi(40, 0.08, spec, 700 + seed, directed,
+                                       /*connect=*/seed % 3 != 0);
+    const NodeId n = g.node_count();
+    std::uniform_int_distribution<NodeId> pick(0, n - 1);
+    for (int q = 0; q < 12; ++q) {
+      const NodeId s = pick(rng);
+      const NodeId t = pick(rng);
+      Bans bans{std::vector<char>(n, 0), {}};
+      for (NodeId x = 0; x < n; ++x) {
+        if (x != s && rng() % 10 == 0) bans.node[x] = 1;
+      }
+      for (const Edge& e : g.edges()) {
+        if (rng() % 100 < 15) bans.arc.insert({e.from, e.to});
+      }
+      const std::string where = "seed=" + std::to_string(seed) +
+                                " s=" + std::to_string(s) +
+                                " t=" + std::to_string(t);
+      ++(expect_dijkstra_to_matches(g, s, t, bans, where) ? reached
+                                                          : unreached);
+    }
+  }
+  // Both outcomes must occur for the sweep to test both branches.
+  EXPECT_GT(reached, 0u);
+  EXPECT_GT(unreached, 0u);
 }
 
 TEST(BellmanFord, AgreesWithDijkstraRandom) {
